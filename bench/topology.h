@@ -8,11 +8,6 @@
 // RouteViews-style table from the feed and applies (possibly misconfigured)
 // customer route filtering on the customer session — the setup every
 // evaluation bench (E1-E4) runs on.
-//
-// Both topologies here run serial (the default) or sharded: set sim_shards
-// to N > 0 and the simulation executes on a net::ShardedEventLoop with N
-// shards, which the F1h bench and the sharded_sim test wall hold to
-// bit-identical results against the serial baseline.
 
 #ifndef BENCH_TOPOLOGY_H_
 #define BENCH_TOPOLOGY_H_
@@ -21,14 +16,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/bgp/router.h"
-#include "src/net/sharded_event_loop.h"
-#include "src/persist/router_state_snapshot.h"
 #include "src/trace/feed.h"
 #include "src/trace/trace.h"
-#include "src/util/frame.h"
 #include "src/util/logging.h"
 
 namespace dice::bench {
@@ -57,19 +48,6 @@ inline const char* MisconfigName(Misconfig m) {
   return "?";
 }
 
-// Canonical digest of a set of routers: the serialized checkpoint bytes of
-// each (deterministic by construction), concatenated in the given order.
-// Comparing digests across serial and sharded runs is the repo's
-// bit-identity check.
-inline uint32_t RouterStateDigest(const std::vector<const bgp::Router*>& routers) {
-  Bytes all;
-  for (const bgp::Router* router : routers) {
-    Bytes one = persist::SerializeRouterState(router->CheckpointState(), 0);
-    all.insert(all.end(), one.begin(), one.end());
-  }
-  return BodyChecksum(all.data(), all.size());
-}
-
 struct Fig2Options {
   size_t prefixes = 50000;   // paper scale: 319355 (pass --prefixes=319355)
   uint64_t seed = 1;
@@ -80,9 +58,6 @@ struct Fig2Options {
   // ...). More entries mean more symbolic range checks per explored UPDATE —
   // the "multi-entry customer filter" knob of the exploration benches.
   size_t filter_entries = 1;
-  // 0 = serial event loop; N > 0 = sharded simulation with N shards (nodes
-  // fall to the default id % N partition).
-  size_t sim_shards = 0;
 };
 
 class Fig2 {
@@ -92,16 +67,7 @@ class Fig2 {
   static constexpr net::NodeId kFeedNode = 3;
 
   explicit Fig2(const Fig2Options& options)
-      : options_(options), generator_(MakeGeneratorOptions(options)) {
-    if (options.sim_shards > 0) {
-      net::ShardedEventLoop::Options sharded_options;
-      sharded_options.shards = static_cast<uint32_t>(options.sim_shards);
-      sharded_ = std::make_unique<net::ShardedEventLoop>(sharded_options);
-      net_ = std::make_unique<net::Network>(sharded_.get());
-    } else {
-      net_ = std::make_unique<net::Network>(&loop_);
-    }
-
+      : options_(options), net_(&loop_), generator_(MakeGeneratorOptions(options)) {
     // --- Provider (the DiCE-enabled router) --------------------------------
     bgp::RouterConfig provider;
     provider.name = "provider";
@@ -164,14 +130,14 @@ class Fig2 {
     upstream.remote_as = 3;
     customer.neighbors.push_back(upstream);
 
-    customer_ = std::make_unique<bgp::Router>(kCustomerNode, std::move(customer), net_.get());
-    provider_ = std::make_unique<bgp::Router>(kProviderNode, std::move(provider), net_.get());
+    customer_ = std::make_unique<bgp::Router>(kCustomerNode, std::move(customer), &net_);
+    provider_ = std::make_unique<bgp::Router>(kProviderNode, std::move(provider), &net_);
     feed_ = std::make_unique<trace::BgpFeedNode>(kFeedNode, "internet", 65000,
-                                                 *bgp::Ipv4Address::Parse("10.0.0.9"), net_.get());
+                                                 *bgp::Ipv4Address::Parse("10.0.0.9"), &net_);
 
-    net_->AddNode(customer_.get());
-    net_->AddNode(provider_.get());
-    net_->AddNode(feed_.get());
+    net_.AddNode(customer_.get());
+    net_.AddNode(provider_.get());
+    net_.AddNode(feed_.get());
 
     customer_->RegisterPeerNode(*bgp::Ipv4Address::Parse("10.0.0.3"), kProviderNode);
     provider_->RegisterPeerNode(*bgp::Ipv4Address::Parse("10.0.0.1"), kCustomerNode);
@@ -180,9 +146,9 @@ class Fig2 {
 
     customer_->Start();
     provider_->Start();
-    net_->Connect(kCustomerNode, kProviderNode, net::kMillisecond);
-    net_->Connect(kProviderNode, kFeedNode, net::kMillisecond);
-    RunSim(5 * net::kSecond);
+    net_.Connect(kCustomerNode, kProviderNode, net::kMillisecond);
+    net_.Connect(kProviderNode, kFeedNode, net::kMillisecond);
+    loop_.RunFor(5 * net::kSecond);
     DICE_CHECK(provider_->Established(kCustomerNode));
     DICE_CHECK(provider_->Established(kFeedNode));
   }
@@ -194,25 +160,13 @@ class Fig2 {
   // keepalive timers re-arm forever, so an unbounded Run() never returns.
   size_t LoadTable() {
     trace::Trace dump = generator_.FullDump();
-    trace::ScheduleTrace(net_.get(), feed_.get(), dump, sim_now());
-    RunSim(20 * net::kSecond);
+    trace::ScheduleTrace(&net_, feed_.get(), dump, loop_.now());
+    loop_.RunFor(20 * net::kSecond);
     return dump.events.size();
   }
 
   // Runs the simulation for `duration`, letting in-flight traffic settle.
-  void Settle(net::SimTime duration = 5 * net::kSecond) { RunSim(duration); }
-
-  // Advances simulated time by `duration` on whichever loop drives this
-  // topology; accumulates the executed-event count for identity checks.
-  size_t RunSim(net::SimTime duration) {
-    size_t executed =
-        sharded_ != nullptr ? sharded_->RunFor(duration) : loop_.RunFor(duration);
-    events_executed_ += executed;
-    return executed;
-  }
-
-  net::SimTime sim_now() const { return sharded_ != nullptr ? sharded_->now() : loop_.now(); }
-  uint64_t events_executed() const { return events_executed_; }
+  void Settle(net::SimTime duration = 5 * net::kSecond) { loop_.RunFor(duration); }
 
   // A 15-minute (or custom) low-rate update trace, as in the paper.
   trace::Trace MakeUpdateTrace() { return generator_.UpdateTrace(); }
@@ -231,19 +185,8 @@ class Fig2 {
     return seed;
   }
 
-  // Digest over every router's checkpointed state, in node-id order.
-  uint32_t StateDigest() const {
-    return RouterStateDigest({customer_.get(), provider_.get()});
-  }
-
-  // The serial loop; only meaningful when sim_shards == 0.
-  net::EventLoop& loop() {
-    DICE_CHECK(sharded_ == nullptr) << "Fig2::loop() on a sharded topology — use sharded()";
-    return loop_;
-  }
-  // Null when the topology runs serial.
-  net::ShardedEventLoop* sharded() { return sharded_.get(); }
-  net::Network& net() { return *net_; }
+  net::EventLoop& loop() { return loop_; }
+  net::Network& net() { return net_; }
   bgp::Router& provider() { return *provider_; }
   bgp::Router& customer() { return *customer_; }
   trace::BgpFeedNode& feed() { return *feed_; }
@@ -259,218 +202,12 @@ class Fig2 {
   }
 
   Fig2Options options_;
-  net::EventLoop loop_;  // drives the simulation when sim_shards == 0
-  std::unique_ptr<net::ShardedEventLoop> sharded_;
-  std::unique_ptr<net::Network> net_;
+  net::EventLoop loop_;
+  net::Network net_;
   trace::TraceGenerator generator_;
-  uint64_t events_executed_ = 0;
   std::unique_ptr<bgp::Router> customer_;
   std::unique_ptr<bgp::Router> provider_;
   std::unique_ptr<trace::BgpFeedNode> feed_;
-};
-
-// ---------------------------------------------------------------------------
-// ScaleRing: the parameterized scale topology for the sharding benches.
-//
-// A ring of `ring` hub ASes, each with `fanout` leaf (stub) ASes; every leaf
-// originates `prefixes_per_leaf` /24s out of 172.16.0.0/12, which then
-// propagate around the ring. Many routers with genuinely concurrent traffic —
-// unlike Fig2, whose three nodes leave most shards idle — so F1h's
-// events-per-second speedup and the serial-vs-sharded identity wall both get
-// a workload where every shard has routers to run.
-//
-// Partitioning keeps each hub on shard (hub index % shards) with all of its
-// leaves, so cross-shard traffic is exactly the ring links (the smallest of
-// which becomes the lookahead).
-//
-// Ring link i gets delay ring_delay * 2^i. The stagger is what makes the
-// sharded run bit-identical to serial: the RIB stamps every installed route
-// with a global arrival sequence, so identity requires that no node ever
-// receives two RIB-changing messages at the same microsecond from different
-// shards (the cross-shard merge could order them differently than the serial
-// queue did). Power-of-two delays make every distinct arc of the ring have a
-// distinct delay sum — a symmetric ring would instead deliver the two
-// directions of every propagation wave simultaneously. Leaf links share one
-// delay; leaves ride on their hub's shard, where serial insertion order is
-// preserved exactly, so their collisions are harmless.
-// ---------------------------------------------------------------------------
-
-struct ScaleRingOptions {
-  size_t ring = 8;                // hub count; clamped to [3, 12]
-  size_t fanout = 4;              // leaves per hub
-  size_t prefixes_per_leaf = 2;   // /24s each leaf originates
-  net::SimTime ring_delay = 2 * net::kMillisecond;  // base hub<->hub delay
-  net::SimTime leaf_delay = net::kMillisecond;      // hub<->leaf links
-  size_t sim_shards = 0;          // 0 = serial event loop
-};
-
-class ScaleRing {
- public:
-  explicit ScaleRing(const ScaleRingOptions& options)
-      : options_(options),
-        ring_(std::max<size_t>(options.ring, 3)),
-        fanout_(options.fanout) {
-    // 172.16.0.0/12 holds 2^12 /24s; each leaf needs its own block.
-    DICE_CHECK_LE(ring_ * fanout_ * options.prefixes_per_leaf, size_t{4096})
-        << "prefix space exhausted: shrink ring/fanout/prefixes_per_leaf";
-    // The staggered ring delays grow as 2^i: cap the ring so the slowest link
-    // stays in the seconds range (scale the topology through fanout instead).
-    DICE_CHECK_LE(ring_, size_t{12}) << "ring too large — grow fanout instead";
-
-    if (options.sim_shards > 0) {
-      net::ShardedEventLoop::Options sharded_options;
-      sharded_options.shards = static_cast<uint32_t>(options.sim_shards);
-      sharded_ = std::make_unique<net::ShardedEventLoop>(sharded_options);
-      // Assign before any router exists: session construction freezes the
-      // partition. Leaves ride with their hub so only ring links cross shards.
-      for (size_t i = 0; i < ring_; ++i) {
-        uint32_t shard = static_cast<uint32_t>(i % options.sim_shards);
-        sharded_->AssignNode(HubNode(i), shard);
-        for (size_t j = 0; j < fanout_; ++j) {
-          sharded_->AssignNode(LeafNode(i, j), shard);
-        }
-      }
-      net_ = std::make_unique<net::Network>(sharded_.get());
-    } else {
-      net_ = std::make_unique<net::Network>(&loop_);
-    }
-
-    // --- Hub routers --------------------------------------------------------
-    for (size_t i = 0; i < ring_; ++i) {
-      bgp::RouterConfig config;
-      config.name = "hub" + std::to_string(i);
-      config.local_as = HubAs(i);
-      config.router_id = Address(HubNode(i));
-      AddNeighbor(&config, HubNode(Prev(i)), HubAs(Prev(i)));
-      AddNeighbor(&config, HubNode(Next(i)), HubAs(Next(i)));
-      for (size_t j = 0; j < fanout_; ++j) {
-        AddNeighbor(&config, LeafNode(i, j), LeafAs(i, j));
-      }
-      routers_.push_back(
-          std::make_unique<bgp::Router>(HubNode(i), std::move(config), net_.get()));
-    }
-
-    // --- Leaf routers -------------------------------------------------------
-    size_t prefix_index = 0;
-    for (size_t i = 0; i < ring_; ++i) {
-      for (size_t j = 0; j < fanout_; ++j) {
-        bgp::RouterConfig config;
-        config.name = "leaf" + std::to_string(i) + "_" + std::to_string(j);
-        config.local_as = LeafAs(i, j);
-        config.router_id = Address(LeafNode(i, j));
-        AddNeighbor(&config, HubNode(i), HubAs(i));
-        for (size_t p = 0; p < options.prefixes_per_leaf; ++p) {
-          config.networks.push_back(LeafPrefix(prefix_index++));
-        }
-        routers_.push_back(
-            std::make_unique<bgp::Router>(LeafNode(i, j), std::move(config), net_.get()));
-      }
-    }
-
-    for (const auto& router : routers_) {
-      net_->AddNode(router.get());
-    }
-
-    // Peer registrations mirror the neighbor configs exactly.
-    for (size_t i = 0; i < ring_; ++i) {
-      bgp::Router* hub = router(HubNode(i));
-      hub->RegisterPeerNode(Address(HubNode(Prev(i))), HubNode(Prev(i)));
-      hub->RegisterPeerNode(Address(HubNode(Next(i))), HubNode(Next(i)));
-      for (size_t j = 0; j < fanout_; ++j) {
-        hub->RegisterPeerNode(Address(LeafNode(i, j)), LeafNode(i, j));
-        router(LeafNode(i, j))->RegisterPeerNode(Address(HubNode(i)), HubNode(i));
-      }
-    }
-
-    for (const auto& r : routers_) {
-      r->Start();
-    }
-    for (size_t i = 0; i < ring_; ++i) {
-      net_->Connect(HubNode(i), HubNode(Next(i)), RingLinkDelay(i));
-      for (size_t j = 0; j < fanout_; ++j) {
-        net_->Connect(HubNode(i), LeafNode(i, j), options.leaf_delay);
-      }
-    }
-    // Establishment and full propagation take a few traversals of the ring;
-    // the slowest staggered link dominates.
-    RunSim(5 * net::kSecond + 6 * RingLinkDelay(ring_ - 1));
-  }
-
-  // Staggered: see the class comment for why the ring must be asymmetric.
-  net::SimTime RingLinkDelay(size_t i) const {
-    return options_.ring_delay * (net::SimTime{1} << i);
-  }
-
-  // --- Layout ---------------------------------------------------------------
-  net::NodeId HubNode(size_t i) const { return static_cast<net::NodeId>(i + 1); }
-  net::NodeId LeafNode(size_t i, size_t j) const {
-    return static_cast<net::NodeId>(ring_ + 1 + i * fanout_ + j);
-  }
-  static bgp::AsNumber HubAs(size_t i) { return static_cast<bgp::AsNumber>(100 + i); }
-  bgp::AsNumber LeafAs(size_t i, size_t j) const {
-    return static_cast<bgp::AsNumber>(1000 + i * fanout_ + j);
-  }
-  static bgp::Ipv4Address Address(net::NodeId id) {
-    return bgp::Ipv4Address((10u << 24) | id);
-  }
-  static bgp::Prefix LeafPrefix(size_t index) {
-    uint32_t bits = (172u << 24) | (16u << 16) | (static_cast<uint32_t>(index) << 8);
-    return bgp::Prefix::Make(bgp::Ipv4Address(bits), 24);
-  }
-
-  size_t ring() const { return ring_; }
-  size_t fanout() const { return fanout_; }
-  size_t node_count() const { return routers_.size(); }
-
-  bgp::Router* router(net::NodeId id) {
-    // Routers are stored hubs-first, then leaves, ids dense from 1.
-    return routers_[id - 1].get();
-  }
-
-  // --- Execution ------------------------------------------------------------
-  size_t RunSim(net::SimTime duration) {
-    size_t executed =
-        sharded_ != nullptr ? sharded_->RunFor(duration) : loop_.RunFor(duration);
-    events_executed_ += executed;
-    return executed;
-  }
-  void Settle(net::SimTime duration = 5 * net::kSecond) { RunSim(duration); }
-
-  net::SimTime sim_now() const { return sharded_ != nullptr ? sharded_->now() : loop_.now(); }
-  uint64_t events_executed() const { return events_executed_; }
-  net::ShardedEventLoop* sharded() { return sharded_.get(); }
-  net::Network& net() { return *net_; }
-  const ScaleRingOptions& options() const { return options_; }
-
-  // Digest over every router's checkpointed state, in node-id order.
-  uint32_t StateDigest() const {
-    std::vector<const bgp::Router*> all;
-    all.reserve(routers_.size());
-    for (const auto& r : routers_) {
-      all.push_back(r.get());
-    }
-    return RouterStateDigest(all);
-  }
-
- private:
-  size_t Prev(size_t i) const { return (i + ring_ - 1) % ring_; }
-  size_t Next(size_t i) const { return (i + 1) % ring_; }
-
-  void AddNeighbor(bgp::RouterConfig* config, net::NodeId peer, bgp::AsNumber remote_as) const {
-    bgp::NeighborConfig neighbor;
-    neighbor.address = Address(peer);
-    neighbor.remote_as = remote_as;  // no filters: default accept both ways
-    config->neighbors.push_back(neighbor);
-  }
-
-  ScaleRingOptions options_;
-  size_t ring_;
-  size_t fanout_;
-  net::EventLoop loop_;  // drives the simulation when sim_shards == 0
-  std::unique_ptr<net::ShardedEventLoop> sharded_;
-  std::unique_ptr<net::Network> net_;
-  uint64_t events_executed_ = 0;
-  std::vector<std::unique_ptr<bgp::Router>> routers_;
 };
 
 }  // namespace dice::bench

@@ -38,10 +38,9 @@ struct KeyHash {
 // that way.
 using Table = std::unordered_map<Key, std::weak_ptr<const PathAttributes>, KeyHash>;
 
-// Lock-striped shards (hash -> shard, one mutex each), mirroring the
-// sym::Expr table: interning the same attribute set from two threads
-// serializes on the shard mutex, so both get the same node and pointer
-// identity is preserved. Hit/miss tallies are atomics so concurrent
+// Lock-striped shards (hash -> shard, one mutex each): interning the same
+// attribute set from two threads serializes on the shard mutex, so both get
+// the same node and pointer identity is preserved. Hit/miss tallies are atomics so concurrent
 // interning does not tear them.
 constexpr size_t kShards = 16;
 

@@ -4,18 +4,20 @@
 // PathAttributes by value, so each copy-on-write path-copy of a trie node
 // deep-copied AS-path segments and community vectors. InternedAttrs stores
 // one immutable PathAttributes per distinct value in a per-process table
-// (mirroring the sym::Expr intern table) and hands out
+// and hands out
 // shared_ptr<const PathAttributes>: structurally equal attributes are
 // pointer-equal, node path-copies and route comparisons become O(1) in
 // attribute size, and an attribute set referenced by thousands of routes is
 // stored once.
 //
 // Entries hold weak_ptrs; a node's shared_ptr deleter erases its table entry,
-// so the table tracks exactly the live attribute sets. Thread-safe, like the
-// Expr table: the table is split into lock-striped shards (hash -> shard, one
-// mutex each), so concurrent interning from solver worker threads preserves
-// pointer identity. The table is heap-allocated and never destroyed so
-// statically stored handles can outlive it safely.
+// so the table tracks exactly the live attribute sets. Thread-safe: the table
+// is split into lock-striped shards (hash -> shard, one mutex each), so the
+// transport server's request workers, which decode and execute exploration
+// batches for different domains concurrently, intern with pointer identity
+// preserved. This is the only lock-striped intern table in the tree; the
+// sym::Expr table is single-threaded. The table is heap-allocated and never
+// destroyed so statically stored handles can outlive it safely.
 
 #ifndef SRC_BGP_ATTR_INTERN_H_
 #define SRC_BGP_ATTR_INTERN_H_

@@ -36,9 +36,7 @@ void Router::RegisterPeerNode(Ipv4Address neighbor_address, net::NodeId node) {
       HandleUpdate(*p, update);
     }
   };
-  // The session's timers must run on the loop that owns this node's state —
-  // in a sharded simulation that is this router's shard, never a global loop.
-  peer.session = std::make_unique<Session>(network_->loop_for(id()), state_.config->local_as,
+  peer.session = std::make_unique<Session>(network_->loop(), state_.config->local_as,
                                            state_.config->router_id, neighbor->remote_as,
                                            /*hold_time_seconds=*/90, std::move(callbacks));
   peers_[node] = std::move(peer);

@@ -37,10 +37,8 @@ struct SessionCallbacks {
 
 class Session {
  public:
-  // `loop` schedules the hold/keepalive timers and must be the event loop
-  // that owns the router's node — in a sharded simulation, the router's
-  // shard loop (Network::loop_for), so timer callbacks execute on the same
-  // thread as the router's message handling.
+  // `loop` schedules the hold/keepalive timers: the event loop of the
+  // network the router's node is registered with (Network::loop).
   Session(net::EventLoop* loop, AsNumber local_as, Ipv4Address local_id, AsNumber expected_peer_as,
           uint16_t hold_time_seconds, SessionCallbacks callbacks)
       : loop_(loop),

@@ -26,7 +26,6 @@
 #include "src/dice/checkers.h"
 #include "src/dice/instrumented.h"
 #include "src/sym/concolic.h"
-#include "src/util/worker_pool.h"
 
 namespace dice {
 
@@ -42,13 +41,6 @@ struct ExplorerOptions {
   // pre-fast-path behavior, kept for head-to-head benches and regression
   // gates). Results are identical either way.
   bool lazy_clones = true;
-  // Worker threads for parallel candidate solving; 0 (the default) keeps the
-  // serial engine. The pool lives as long as the Explorer and is shared
-  // across seed explorations; runs, paths, coverage, and detections are
-  // bit-identical to the serial engine for every worker count (the
-  // ConcolicDriver merge discipline — see src/sym/concolic.h). Overrides
-  // concolic.solver_workers, which stays for direct ConcolicDriver users.
-  size_t solver_workers = 0;
 };
 
 // Aggregated copy-on-write statistics over all exploration clones.
@@ -93,11 +85,6 @@ class Explorer {
   // Snapshots `router`'s state as the exploration base (the paper's fork()).
   void TakeCheckpoint(const bgp::Router& router, net::SimTime now);
 
-  // Sharded-simulation variant: checkpoints must be taken at a window
-  // barrier, when no shard thread is mutating router state. Uses the loop's
-  // (min-shard) clock as the checkpoint time.
-  void TakeCheckpoint(const bgp::Router& router, const net::ShardedEventLoop& loop);
-
   // Direct-state variant for tests/benches that drive RouterState manually.
   void TakeCheckpoint(const bgp::RouterState& state, std::vector<bgp::PeerView> peers,
                       net::SimTime now);
@@ -117,7 +104,7 @@ class Explorer {
 
   // The long-lived solver's cross-run query cache — the warm state the
   // persistence layer (src/persist) snapshots and reloads across restarts.
-  const std::shared_ptr<sym::QueryCache>& query_cache() const { return solver_.cache(); }
+  sym::QueryCache* query_cache() { return &solver_.cache(); }
 
   // Messages exploration clones attempted to send, in order (never delivered
   // to the live network).
@@ -137,9 +124,6 @@ class Explorer {
   // persists across seed explorations, which re-pose mostly identical
   // queries against the same router state.
   sym::Solver solver_;
-  // One worker pool for the Explorer's lifetime (null when solving is
-  // serial); drivers borrow it per exploration.
-  std::unique_ptr<util::WorkerPool> solver_pool_;
   // Solver counter values at StartExploration, so report_.solver covers only
   // the current exploration.
   sym::SolverStats solver_stats_base_;

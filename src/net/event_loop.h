@@ -102,7 +102,7 @@ class EventLoop {
   size_t pending() const { return queue_.size(); }
 
   // Timestamp of the earliest pending event; nullopt when the queue is
-  // drained. The sharded loop's window computation reads this at barriers.
+  // drained.
   std::optional<SimTime> NextEventTime() const {
     if (queue_.empty()) {
       return std::nullopt;

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/net/event_loop.h"
-#include "src/net/sharded_event_loop.h"
 #include "src/util/bytes.h"
 #include "src/util/logging.h"
 
@@ -83,9 +82,7 @@ class RecordingTap : public MessageTap {
 };
 
 // One direction of a link: from -> to, FIFO, fixed propagation delay.
-// Delivery is scheduled through the owning Network, which routes it onto the
-// destination node's event loop — the serial loop, or the destination's
-// shard (via the cross-shard exchange when the endpoints' shards differ).
+// Delivery is scheduled on the owning Network's event loop.
 class Channel {
  public:
   Channel(Network* network, NodeId from, NodeId to, SimTime delay)
@@ -107,7 +104,7 @@ class Channel {
 
   // Sends `bytes`; `deliver` is invoked at the receiver after the delay unless
   // the channel is tapped, down, or the drop filter discards the message.
-  // Defined below Network (delivery routes through it).
+  // Defined below Network (delivery uses its loop).
   void Send(const Bytes& bytes, std::function<void(NodeId, const Bytes&)> deliver);
 
   uint64_t sent_count() const { return sent_count_; }
@@ -132,30 +129,11 @@ class Network {
  public:
   explicit Network(EventLoop* loop) : loop_(loop) {}
 
-  // Sharded simulation: each node's callbacks and timers run on its assigned
-  // shard's loop, and sends between shards go through the conservative-
-  // lookahead exchange. Assign nodes (ShardedEventLoop::AssignNode) before
-  // registering them — session construction captures shard loop handles.
-  explicit Network(ShardedEventLoop* sharded) : sharded_(sharded) {}
-
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // The serial loop. Only meaningful in serial mode; sharded callers use
-  // loop_for (per-node) or sharded() (whole-simulation control).
-  EventLoop* loop() const {
-    DICE_CHECK(loop_ != nullptr) << "Network::loop() on a sharded network — use loop_for";
-    return loop_;
-  }
-
-  // The event loop driving `id`'s callbacks and timers: the serial loop, or
-  // the node's shard. Timers a node arms must go here so they execute on the
-  // shard that owns the node's state.
-  EventLoop* loop_for(NodeId id) const {
-    return sharded_ != nullptr ? &sharded_->loop_of(id) : loop_;
-  }
-
-  ShardedEventLoop* sharded() const { return sharded_; }
+  // The event loop that runs every node's callbacks, timers, and deliveries.
+  EventLoop* loop() const { return loop_; }
 
   // Registers `node`; the Network does not take ownership (routers typically
   // live in test/bench scope). Node ids must be unique.
@@ -171,15 +149,10 @@ class Network {
   }
 
   // Creates a duplex link between `a` and `b` with symmetric delay and
-  // notifies both endpoints that the link is up. A link whose endpoints live
-  // on different shards narrows the sharded loop's lookahead to its delay
-  // (which must therefore be positive).
+  // notifies both endpoints that the link is up.
   void Connect(NodeId a, NodeId b, SimTime delay) {
     DICE_CHECK(GetNode(a) != nullptr) << "unknown node " << a;
     DICE_CHECK(GetNode(b) != nullptr) << "unknown node " << b;
-    if (sharded_ != nullptr && sharded_->ShardOf(a) != sharded_->ShardOf(b)) {
-      sharded_->NarrowLookahead(delay);
-    }
     channels_[{a, b}] = std::make_unique<Channel>(this, a, b, delay);
     channels_[{b, a}] = std::make_unique<Channel>(this, b, a, delay);
     GetNode(a)->OnLinkUp(b);
@@ -227,29 +200,8 @@ class Network {
 
   size_t node_count() const { return nodes_.size(); }
 
-  // Schedules `fn` on `to`'s loop at the sender's now() + delay. Same-shard
-  // (and serial) sends go straight onto the destination loop; cross-shard
-  // sends are buffered for the deterministic barrier merge. Channel delivery
-  // funnels through here — this is the one seam where a message changes
-  // shards.
-  void ScheduleDelivery(NodeId from, NodeId to, SimTime delay, EventLoop::Callback fn) {
-    if (sharded_ != nullptr) {
-      uint32_t from_shard = sharded_->ShardOf(from);
-      uint32_t to_shard = sharded_->ShardOf(to);
-      if (from_shard != to_shard) {
-        SimTime when = sharded_->shard(from_shard).now() + delay;
-        sharded_->CrossShardAt(from_shard, to_shard, when, std::move(fn));
-        return;
-      }
-      sharded_->shard(from_shard).After(delay, std::move(fn));
-      return;
-    }
-    loop_->After(delay, std::move(fn));
-  }
-
  private:
-  EventLoop* loop_ = nullptr;
-  ShardedEventLoop* sharded_ = nullptr;
+  EventLoop* loop_;
   std::map<NodeId, Node*> nodes_;
   std::map<std::pair<NodeId, NodeId>, std::unique_ptr<Channel>> channels_;
 };
@@ -271,9 +223,8 @@ inline void Channel::Send(const Bytes& bytes,
   }
   ++delivered_count_;
   NodeId from = from_;
-  network_->ScheduleDelivery(
-      from_, to_, delay_,
-      [from, bytes, deliver = std::move(deliver)]() { deliver(from, bytes); });
+  network_->loop()->After(
+      delay_, [from, bytes, deliver = std::move(deliver)]() { deliver(from, bytes); });
 }
 
 }  // namespace dice::net

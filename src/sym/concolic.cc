@@ -4,40 +4,12 @@
 
 namespace dice::sym {
 
-namespace {
-
-// Batched solving preserves serial results only when the strategy can hand
-// back speculatively popped candidates (randomized pick orders draw rng per
-// pop, which batch-popping would perturb) and every worker solve is
-// deterministic — cross-query model reuse keeps per-solver model lists, so a
-// worker-view solver could answer SAT from a model the serial stream never
-// saw. Either way the driver stays on the serial solve path.
-bool BatchableSolving(const ConcolicOptions& options, const SearchStrategy& strategy) {
-  return strategy.SupportsRequeue() && !options.solver.enable_model_reuse;
-}
-
-}  // namespace
-
-bool ConcolicDriver::SolvingIsBatchable(const ConcolicOptions& options) {
-  return BatchableSolving(options, *MakeStrategy(options.strategy, options.seed));
-}
-
-ConcolicDriver::ConcolicDriver(ConcolicOptions options, Solver* shared_solver,
-                               util::WorkerPool* solver_pool)
+ConcolicDriver::ConcolicDriver(ConcolicOptions options, Solver* shared_solver)
     : options_(options),
       owned_solver_(shared_solver == nullptr ? std::make_unique<Solver>(options.solver)
                                              : nullptr),
       solver_(shared_solver == nullptr ? owned_solver_.get() : shared_solver),
-      strategy_(MakeStrategy(options.strategy, options.seed)),
-      owned_pool_(solver_pool == nullptr && options.solver_workers > 0 &&
-                          BatchableSolving(options_, *strategy_)
-                      ? std::make_unique<util::WorkerPool>(options.solver_workers)
-                      : nullptr),
-      pool_(solver_pool != nullptr && BatchableSolving(options_, *strategy_)
-                ? solver_pool
-                : owned_pool_.get()) {
-  stats_.solver_workers = pool_ != nullptr ? pool_->size() : 0;
-}
+      strategy_(MakeStrategy(options.strategy, options.seed)) {}
 
 void ConcolicDriver::RunOnce(const Assignment& assignment, size_t bound) {
   engine_.BeginRun(assignment);
@@ -70,17 +42,6 @@ void ConcolicDriver::MirrorSolverCounters() {
   stats_.solver_cache_preloaded_hits =
       solver_->stats().cache_preloaded_hits - solver_cache_preloaded_hits_base_;
   stats_.solver_atoms_sliced = solver_->stats().atoms_sliced - solver_atoms_sliced_base_;
-  if (pool_ == nullptr) {
-    // Per-shard hit counts are only surfaced when workers are enabled; skip
-    // the per-solve snapshot allocations on the serial hot path.
-    return;
-  }
-  std::vector<uint64_t> shard_hits = solver_->cache()->ShardHits();
-  stats_.solver_cache_shard_hits.assign(shard_hits.size(), 0);
-  for (size_t i = 0; i < shard_hits.size(); ++i) {
-    uint64_t base = i < shard_hits_base_.size() ? shard_hits_base_[i] : 0;
-    stats_.solver_cache_shard_hits[i] = shard_hits[i] - base;
-  }
 }
 
 void ConcolicDriver::StartIncremental(const Program& program, RunObserver on_run) {
@@ -91,12 +52,18 @@ void ConcolicDriver::StartIncremental(const Program& program, RunObserver on_run
   solver_cache_misses_base_ = solver_->stats().cache_misses;
   solver_cache_preloaded_hits_base_ = solver_->stats().cache_preloaded_hits;
   solver_atoms_sliced_base_ = solver_->stats().atoms_sliced;
-  shard_hits_base_ = solver_->cache()->ShardHits();
   // Seed run on the originally observed input (empty assignment = seeds).
   RunOnce(Assignment{}, /*bound=*/0);
 }
 
-bool ConcolicDriver::StepSerial() {
+bool ConcolicDriver::StepIncremental() {
+  if (!incremental_active_) {
+    return false;
+  }
+  if (stats_.runs >= options_.max_runs) {
+    incremental_active_ = false;
+    return false;
+  }
   while (auto candidate = strategy_->Next()) {
     constraints_scratch_.clear();
     candidate->AppendConstraints(constraints_scratch_);
@@ -119,114 +86,6 @@ bool ConcolicDriver::StepSerial() {
   }
   incremental_active_ = false;
   return false;  // frontier exhausted
-}
-
-bool ConcolicDriver::StepParallel() {
-  // Enough tasks per batch to keep every worker busy across the per-task
-  // skew of cache hits vs. fresh solves; speculative overshoot is cheap —
-  // the tail is requeued and its re-solve is served by the shared cache.
-  const size_t batch_target = pool_->size() * 4;
-
-  // One slot per candidate; workers write only their own slot, so the only
-  // shared mutable state is inside the Solver's shards and intern tables.
-  struct SolveTask {
-    std::vector<ExprPtr> constraints;
-    SolveResult result;
-    bool rng_needed = false;
-    SolverStats worker_stats;
-    std::vector<QueryCache::Core> learned_cores;
-  };
-
-  for (;;) {
-    // Pop a batch in the exact order the serial engine would consume it: no
-    // AddPath happens between serial pops either, so the prefix matches.
-    batch_.clear();
-    while (batch_.size() < batch_target) {
-      std::optional<NegationCandidate> candidate = strategy_->Next();
-      if (!candidate.has_value()) {
-        break;
-      }
-      batch_.push_back(std::move(*candidate));
-    }
-    if (batch_.empty()) {
-      incremental_active_ = false;
-      return false;  // frontier exhausted
-    }
-
-    std::vector<SolveTask> tasks(batch_.size());
-    for (size_t i = 0; i < batch_.size(); ++i) {
-      batch_[i].AppendConstraints(tasks[i].constraints);
-    }
-    stats_.solver_tasks_dispatched += tasks.size();
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      pool_->Submit([this, &tasks, i] {
-        SolveTask& task = tasks[i];
-        Solver worker(options_.solver, solver_->cache());
-        task.result =
-            worker.Solve(task.constraints, engine_.vars(), *batch_[i].parent_assignment);
-        task.rng_needed = worker.needed_rng();
-        task.learned_cores = worker.TakeLearnedCores();
-        task.worker_stats = worker.stats();
-      });
-    }
-    pool_->Drain();
-
-    // Merge in candidate order; the serial engine stops at the first SAT.
-    size_t sat_index = tasks.size();
-    for (size_t i = 0; i < tasks.size() && sat_index == tasks.size(); ++i) {
-      SolveTask& task = tasks[i];
-      if (task.rng_needed) {
-        // Deterministic replay of the rng-needing query on the driver's
-        // solver: its rng stream advances in candidate order, exactly as
-        // the serial engine's would have.
-        task.result =
-            solver_->Solve(task.constraints, engine_.vars(), *batch_[i].parent_assignment);
-      } else {
-        solver_->AbsorbStats(task.worker_stats);
-        solver_->cache()->PublishCores(std::move(task.learned_cores));
-      }
-      switch (task.result.kind) {
-        case SolveKind::kSat:
-          ++stats_.solver_sat;
-          sat_index = i;
-          break;
-        case SolveKind::kUnsat:
-          ++stats_.solver_unsat;
-          break;
-        case SolveKind::kUnknown:
-          ++stats_.solver_unknown;
-          break;
-      }
-    }
-    MirrorSolverCounters();
-    if (sat_index == tasks.size()) {
-      continue;  // whole batch infeasible: pop the next one
-    }
-
-    // Return the unconsumed speculative tail to the strategy — in reverse
-    // pop order, before the SAT run's AddPath — so the frontier is exactly
-    // as if the tail had never been popped. Its speculative verdicts stay
-    // warm in the shared cache for the inevitable re-pop.
-    for (size_t i = batch_.size(); i-- > sat_index + 1;) {
-      strategy_->Requeue(std::move(batch_[i]));
-    }
-    Assignment model = std::move(tasks[sat_index].result.model);
-    size_t bound = batch_[sat_index].bound;
-    batch_.clear();  // release path/assignment refs before the next batch
-    RunOnce(model, bound);
-    return true;
-  }
-}
-
-bool ConcolicDriver::StepIncremental() {
-  if (!incremental_active_) {
-    return false;
-  }
-  if (stats_.runs >= options_.max_runs) {
-    incremental_active_ = false;
-    return false;
-  }
-  return pool_ != nullptr ? StepParallel() : StepSerial();
 }
 
 size_t ConcolicDriver::Explore(const Program& program, RunObserver on_run) {

@@ -21,7 +21,6 @@
 #include "src/sym/engine.h"
 #include "src/sym/solver.h"
 #include "src/sym/strategy.h"
-#include "src/util/worker_pool.h"
 
 namespace dice::sym {
 
@@ -34,16 +33,6 @@ struct ConcolicOptions {
   std::string strategy = "generational";
   uint64_t seed = 7;
   SolverOptions solver;
-  // Worker threads for parallel candidate solving; 0 (the default) is the
-  // serial engine. Independent negation candidates are solved concurrently
-  // and their verdicts merged back in deterministic candidate order, so
-  // runs, paths, coverage, and detections are bit-identical to the serial
-  // engine for every worker count (see ConcolicDriver for the argument).
-  // Ignored — the driver stays serial — for strategies whose pick order is
-  // randomized ("random"), since batch-popping would perturb their rng, and
-  // when solver.enable_model_reuse is on, since reused models are per-solver
-  // state a worker view cannot share deterministically.
-  size_t solver_workers = 0;
 };
 
 struct ConcolicStats {
@@ -61,36 +50,11 @@ struct ConcolicStats {
   uint64_t solver_cache_misses = 0;
   uint64_t solver_cache_preloaded_hits = 0;  // hits served from a loaded snapshot
   uint64_t solver_atoms_sliced = 0;
-  // Parallel candidate solving: pool width (0 = serial), candidate solves
-  // dispatched to the pool (speculative re-dispatches included), and the
-  // per-shard hit counts of the shared query cache over this exploration.
-  uint64_t solver_workers = 0;
-  uint64_t solver_tasks_dispatched = 0;
-  std::vector<uint64_t> solver_cache_shard_hits;
 };
 
-// The record -> negate -> solve -> re-execute driver. With
-// options.solver_workers > 0 (or an external `solver_pool`), the solve stage
-// runs in parallel: the driver pops a batch of candidates in the exact order
-// the serial engine would consume them, solves each on the pool through a
-// deterministic worker-view Solver sharing the main solver's query cache,
-// then merges verdicts back on the driver thread in candidate order — UNSAT
-// and unknown candidates are skipped, the first SAT candidate is executed,
-// and the unconsumed tail is returned to the strategy unobserved. Why this
-// is bit-identical to the serial engine regardless of worker count or
-// interleaving:
-//   * each solve's driver-visible outcome is a pure function of
-//     (constraints, vars, hint): cache-served verdicts are validated at
-//     serve time to equal what a fresh solve would return (the PR-2
-//     invariant), so concurrent cache population cannot change outcomes;
-//   * the rare queries whose search would draw randomness abort on the
-//     worker and are replayed on the driver's serial solver *in candidate
-//     order*, so the one rng stream advances exactly as it would serially;
-//   * newly learned UNSAT cores are merged at the batch boundary in
-//     candidate order, and cores only ever turn "unknown" verdicts into
-//     "UNSAT" — both of which the driver skips identically.
-// Only the solver fast-path tallies (hits/misses per shard) are
-// timing-dependent; runs, paths, coverage, and detections are not.
+// The record -> negate -> solve -> re-execute driver. It runs on one thread:
+// each step pops candidates in strategy order and solves them one at a time
+// until one is SAT, then executes that run.
 class ConcolicDriver {
  public:
   // `shared_solver` (optional) lets a long-lived host reuse one Solver — and
@@ -98,18 +62,7 @@ class ConcolicDriver {
   // a fresh seed every checkpoint interval, and consecutive explorations of
   // the same router state re-pose mostly identical queries. When null the
   // driver owns a private solver built from `options.solver`.
-  //
-  // `solver_pool` (optional) supplies the worker pool for parallel candidate
-  // solving — a long-lived host (the Explorer) shares one pool across
-  // drivers. When null and options.solver_workers > 0 the driver owns one.
-  explicit ConcolicDriver(ConcolicOptions options = {}, Solver* shared_solver = nullptr,
-                          util::WorkerPool* solver_pool = nullptr);
-
-  // True when `options` admits parallel candidate solving: the strategy can
-  // hand back speculatively popped candidates and every worker solve is
-  // deterministic (no cross-query model reuse). Pool-owning hosts check this
-  // before spawning threads the driver would decline.
-  static bool SolvingIsBatchable(const ConcolicOptions& options);
+  explicit ConcolicDriver(ConcolicOptions options = {}, Solver* shared_solver = nullptr);
 
   // Runs the exploration loop. `on_run` (optional) observes every completed
   // run with the assignment that produced it — DiCE's checkers hang off this.
@@ -130,10 +83,6 @@ class ConcolicDriver {
 
  private:
   void RunOnce(const Assignment& assignment, size_t bound);
-  // One serial candidate-consumption step (the pre-parallel StepIncremental
-  // body) / its batched counterpart on the worker pool.
-  bool StepSerial();
-  bool StepParallel();
   void MirrorSolverCounters();
 
   ConcolicOptions options_;
@@ -141,8 +90,6 @@ class ConcolicDriver {
   std::unique_ptr<Solver> owned_solver_;  // null when a shared solver is used
   Solver* solver_;
   std::unique_ptr<SearchStrategy> strategy_;
-  std::unique_ptr<util::WorkerPool> owned_pool_;  // null when external or serial
-  util::WorkerPool* pool_;                        // null = serial solving
   ConcolicStats stats_;
   std::set<uint64_t> seen_paths_;
   std::set<std::pair<uint64_t, bool>> covered_;
@@ -152,8 +99,6 @@ class ConcolicDriver {
   bool incremental_active_ = false;
   // Reused per-candidate constraint buffer (prefix + flipped predicate).
   std::vector<ExprPtr> constraints_scratch_;
-  // Reused batch buffer for parallel solving.
-  std::vector<NegationCandidate> batch_;
   // Solver counter values at StartIncremental: with a shared solver they are
   // lifetime totals, and the mirrored ConcolicStats must cover only this
   // exploration.
@@ -161,7 +106,6 @@ class ConcolicDriver {
   uint64_t solver_cache_misses_base_ = 0;
   uint64_t solver_cache_preloaded_hits_base_ = 0;
   uint64_t solver_atoms_sliced_base_ = 0;
-  std::vector<uint64_t> shard_hits_base_;
 };
 
 }  // namespace dice::sym

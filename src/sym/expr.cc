@@ -1,8 +1,6 @@
 #include "src/sym/expr.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 
 #include "src/util/logging.h"
 #include "src/util/strings.h"
@@ -44,20 +42,9 @@ bool Expr::IsBool() const { return bits_ == 1; }
 // table tracks exactly the live nodes. The table is heap-allocated and never
 // destroyed so that statically stored ExprPtrs can outlive it safely.
 //
-// Thread safety (parallel candidate solving dispatches solves — which intern
-// through Expr::Negate — onto a worker pool): the table is split into
-// lock-striped shards keyed by the structural hash of the node identity, one
-// mutex per shard. Interning the same key from two threads serializes on the
-// shard mutex, so both get the same node — pointer identity is preserved.
-// Node ids come from one atomic counter: unique and stable, though the
-// *order* ids are handed out in depends on thread interleaving; nothing
-// result-bearing depends on id order (cache keys are sorted id *sets*).
-//
-// Deleter race: a node's refcount can hit zero on one thread while another
-// thread's Intern finds its (now expired) entry. The finder treats an
-// unlockable entry as a miss and replaces it; the straggling deleter only
-// erases an entry that is still expired, so it never removes the
-// replacement.
+// Single-threaded by contract (see expr.h): no locks, ids from a plain
+// counter, and an entry is erased by its node's deleter before anything else
+// can probe the table, so every entry found is live.
 
 struct ExprInternAccess {
   struct Key {
@@ -84,79 +71,43 @@ struct ExprInternAccess {
     }
   };
 
-  // Determinism audit: probed and size()-summed only, never iterated — expr
-  // ids come from the atomic counter, not table order. dice_lint's
+  // Determinism audit: probed and size()-read only, never iterated — expr
+  // ids come from the counter, not table order. dice_lint's
   // unordered-iteration check keeps it that way.
   using Table = std::unordered_map<Key, std::weak_ptr<const Expr>, KeyHash>;
 
-  static constexpr size_t kShards = 16;
-
-  struct Shard {
-    std::mutex mu;
-    Table table;
-  };
-
-  static Shard* shards() {
-    static Shard* s = new Shard[kShards];  // intentionally leaked: see above
-    return s;
+  static Table& table() {
+    static Table* t = new Table();  // intentionally leaked: see above
+    return *t;
   }
 
-  static Shard& ShardFor(const Key& key) {
-    return shards()[KeyHash{}(key) % kShards];
-  }
-
-  static std::atomic<uint64_t>& next_id() {
-    static std::atomic<uint64_t> id{1};
-    return id;
-  }
+  static uint64_t next_id;
 
   static Key KeyOf(const Expr& e) {
     return Key{e.op_, e.bits_, e.imm_, e.lhs_.get(), e.rhs_.get()};
   }
 
   static void Erase(const Expr* e) {
-    Key key = KeyOf(*e);
-    Shard& shard = ShardFor(key);
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.table.find(key);
-      // A live entry under this key is a replacement interned after our
-      // refcount hit zero — leave it alone.
-      if (it != shard.table.end() && it->second.expired()) {
-        shard.table.erase(it);
-      }
-    }
-    // Deleting outside the lock: the destructor drops child references,
-    // which can cascade into Erase on this or another shard.
+    table().erase(KeyOf(*e));
+    // The destructor drops child references, which can cascade into Erase
+    // for the children.
     delete e;
   }
 };
 
-size_t Expr::InternTableSize() {
-  size_t n = 0;
-  for (size_t i = 0; i < ExprInternAccess::kShards; ++i) {
-    ExprInternAccess::Shard& shard = ExprInternAccess::shards()[i];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.table.size();
-  }
-  return n;
-}
+uint64_t ExprInternAccess::next_id = 1;
+
+size_t Expr::InternTableSize() { return ExprInternAccess::table().size(); }
 
 ExprPtr Expr::Intern(Op op, uint8_t bits, uint64_t imm, ExprPtr lhs, ExprPtr rhs) {
   ExprInternAccess::Key key{op, bits, imm, lhs.get(), rhs.get()};
-  ExprInternAccess::Shard& shard = ExprInternAccess::ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.table.find(key);
-  if (it != shard.table.end()) {
-    if (ExprPtr existing = it->second.lock()) {
-      return existing;
-    }
-    // Expired: the node died on another thread but its deleter has not
-    // erased the entry yet. Take its place; the deleter skips live entries.
-    shard.table.erase(it);
+  ExprInternAccess::Table& table = ExprInternAccess::table();
+  auto it = table.find(key);
+  if (it != table.end()) {
+    return ExprPtr(it->second);
   }
   Expr* node = new Expr(op, bits, imm, std::move(lhs), std::move(rhs));
-  node->id_ = ExprInternAccess::next_id().fetch_add(1, std::memory_order_relaxed);
+  node->id_ = ExprInternAccess::next_id++;
   uint64_t h = 0x2545f4914f6cdd1dULL;
   h = HashCombine(h, static_cast<uint64_t>(op));
   h = HashCombine(h, bits);
@@ -178,7 +129,7 @@ ExprPtr Expr::Intern(Op op, uint8_t bits, uint64_t imm, ExprPtr lhs, ExprPtr rhs
     node->vars_ = node->lhs_->vars_;
   }
   ExprPtr shared(node, [](const Expr* e) { ExprInternAccess::Erase(e); });
-  shard.table.emplace(key, shared);
+  table.emplace(key, shared);
   return shared;
 }
 

@@ -12,6 +12,11 @@
 //
 // This plays the role Crest/Oasis's constraint representation plays in the
 // paper: every branch on symbolic data records one boolean Expr.
+//
+// Single-thread contract: the intern table takes no lock, so expressions are
+// built, copied, and released on one thread — the thread that drives
+// exploration (see src/sym/solver.h). Only src/sym and the dice layer above
+// it touch expressions; code on other threads does not include src/sym.
 
 #ifndef SRC_SYM_EXPR_H_
 #define SRC_SYM_EXPR_H_

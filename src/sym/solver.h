@@ -3,17 +3,23 @@
 // Scope: the constraints concolic exploration of BGP processing produces —
 // conjunctions/disjunctions of unsigned comparisons between linear
 // combinations of small bit-vector variables and constants (prefix range
-// tests, field equalities, path-element comparisons). For these the solver is
-// effectively complete; anything it cannot linearize falls back to a guided
-// stochastic search. This mirrors the paper's stack, where Crest/Oasis handed
-// linear integer arithmetic to Yices and punted on the rest (§3.1 notes
-// DiCE avoids unsolvable constructs such as hash functions entirely).
+// tests, field equalities, path-element comparisons). The solver is not
+// complete on them: it enumerates disjunction choices depth first under a
+// budget (SolverOptions::max_disjunct_paths), and when that budget runs out
+// before some choice yields a model or every choice is refuted, the verdict
+// is kUnknown. Prefix-list and trie-walk path conditions are chains of 2-4
+// way disjunctions, so a filter with a handful of entries already exceeds the
+// default budget and most queries on the provider workloads end as kUnknown.
+// Anything it cannot linearize falls back to a guided stochastic search.
+// This mirrors the paper's stack, where Crest/Oasis handed linear integer
+// arithmetic to Yices and punted on the rest (§3.1 notes DiCE avoids
+// unsolvable constructs such as hash functions entirely).
 //
 // Pipeline:
 //   0. fast path: constraint-independence slicing (drop the connected
 //      components the hint already satisfies) and a cross-run query cache
 //      keyed on the canonicalized interned-id constraint set, with an
-//      UNSAT-superset shortcut and SAT model reuse;
+//      UNSAT-superset shortcut and hint-gated replay of cached verdicts;
 //   1. normalize: push negations down, split conjunctions, enumerate
 //      disjunction choices (DFS with budget);
 //   2. linearize each atom into sum(coef_i * var_i) CMP constant;
@@ -23,17 +29,19 @@
 //
 // Every model returned is verified against the original constraints by
 // expression evaluation, so kSat results are trustworthy by construction.
+//
+// Single-thread contract: a Solver, its QueryCache, and the Expr intern table
+// they build on (src/sym/expr.h) are used from one thread — the thread that
+// drives exploration. Nothing in them takes a lock. Code that runs on other
+// threads (the transport server's reactor and request workers) does not
+// include src/sym.
 
 #ifndef SRC_SYM_SOLVER_H_
 #define SRC_SYM_SOLVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -74,19 +82,9 @@ struct SolverOptions {
   // the sat/unsat/unknown tallies can differ.
   bool enable_slicing = true;
   bool enable_cache = true;
-  // KLEE-style cross-query model reuse: before searching, try recent SAT
-  // models against the new query and accept any that satisfies it. Sound
-  // (models are verified) but NOT trajectory-preserving — a reused model may
-  // differ from what the hint-anchored search would return, steering
-  // exploration down different (equally valid) inputs. Off by default so the
-  // optimized solver is bit-identical to the baseline; turn on when raw
-  // throughput matters more than reproducibility.
-  bool enable_model_reuse = false;
-  // Bounds for the cross-run cache (entries / retained UNSAT cores / recent
-  // SAT models tried before a fresh search).
+  // Bounds for the cross-run cache (entries / retained UNSAT cores).
   size_t max_cache_entries = 4096;
   size_t max_unsat_cores = 1024;
-  size_t max_reuse_models = 32;
 };
 
 struct SolverStats {
@@ -104,7 +102,6 @@ struct SolverStats {
   uint64_t cache_hits = 0;            // any cache-served verdict
   uint64_t cache_misses = 0;          // cache enabled but a full solve ran
   uint64_t cache_unsat_shortcuts = 0; // served via the UNSAT-superset rule
-  uint64_t cache_model_reuses = 0;    // served by re-validating a cached model
   // Cache hits whose entry/core was restored from a persisted snapshot
   // (src/persist) rather than learned in this process — the warm-restart
   // payoff counter the kill/restart gate asserts on.
@@ -115,22 +112,18 @@ struct SolverStats {
 // conjunction used as cache key and UNSAT core.
 using QueryKey = std::vector<uint64_t>;
 
-// The cross-run query cache, extracted from the Solver so many solvers can
-// share one: the parallel candidate-solving path gives every worker task a
-// lightweight Solver view onto the long-lived Explorer solver's cache.
+// The cross-run query cache: verdicts keyed on the canonical constraint set,
+// plus the proven-UNSAT cores behind the superset shortcut. A cache-served
+// verdict always equals what a fresh solve of the same query under the same
+// hint would return — SAT and unknown entries are validated against the hint
+// at serve time, and UNSAT is hint-independent — so which entries happen to
+// be present changes only the hit/miss tallies, never a verdict.
 //
-// Thread safety: entries live in lock-striped shards (key hash -> shard),
-// each behind a read-mostly std::shared_mutex — lookups take the shared
-// lock, stores the exclusive one. The UNSAT-core list has its own
-// shared_mutex (scans are reads, merges are rare writes). Per-shard hit
-// counters are atomics, surfaced through ShardHits() into ConcolicStats.
-//
-// The determinism contract that makes sharing sound (see SolverOptions): a
-// cache-served verdict always equals what a fresh solve of the same query
-// under the same hint would return — entries are validated at serve time —
-// so the driver-visible outcome of a solve does not depend on which entries
-// happen to be present. Concurrent writers can interleave freely; the only
-// timing-dependent observables are the hit/miss tallies.
+// Eviction: entries are split by key hash into kGroups groups of
+// max_entries / kGroups each, and a group is cleared wholesale when a store
+// finds it full. Eviction decides which later queries re-solve (and so draw
+// from the solver's rng), which makes the grouping part of the exploration
+// trajectory: change it only as a measured change of its own.
 class QueryCache {
  public:
   struct Entry {
@@ -156,31 +149,16 @@ class QueryCache {
     bool preloaded = false;
   };
 
-  QueryCache(size_t max_entries, size_t max_cores, size_t shards = kDefaultShards);
+  QueryCache(size_t max_entries, size_t max_cores);
 
   // Drops all cached state when the variable universe changes (ids, widths,
   // or domain bounds) — cached verdicts are only sound for the domains they
-  // were computed under. Returns the universe fingerprint so callers can
-  // guard their own per-solver state without rehashing; the unchanged case
-  // is a lock-free atomic load (the steady state under concurrent workers).
-  uint64_t ResetIfVarsChanged(const std::vector<VarInfo>& vars);
+  // were computed under.
+  void ResetIfVarsChanged(const std::vector<VarInfo>& vars);
 
-  // Invokes `fn(const Entry&)` under the owning shard's shared lock and
-  // returns true iff `key` was present (bumping the shard's hit counter).
-  // Validation runs in place — no per-hit Entry copy. `fn` must not call
-  // back into this cache (the shard lock is held).
-  template <typename Fn>
-  bool Lookup(const QueryKey& key, Fn&& fn) {
-    Shard& shard = ShardFor(key);
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    auto it = shard.hashed_entries.find(key);
-    if (it == shard.hashed_entries.end()) {
-      return false;
-    }
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    fn(it->second);
-    return true;
-  }
+  // The entry stored under `key`, or null. The pointer is valid until the
+  // next Store, Import, or reset.
+  const Entry* Find(const QueryKey& key) const;
 
   // True iff `key` (sorted) is a superset of some proven-UNSAT core. When
   // `matched_preloaded` is non-null it reports whether the matching core came
@@ -189,18 +167,12 @@ class QueryCache {
 
   void Store(QueryKey key, Entry entry);
 
-  // Appends proven cores (deduplicated by key, FIFO-capped). The parallel
-  // driver calls this at batch boundaries, in candidate order, with the
-  // cores its workers learned; the serial solver calls it directly.
+  // Appends proven cores (deduplicated by key, FIFO-capped).
   void PublishCores(std::vector<Core> cores);
 
-  size_t shard_count() const { return shards_.size(); }
-  // Lifetime per-shard lookup hits (Lookup calls that found an entry).
-  std::vector<uint64_t> ShardHits() const;
-
   // Snapshot support (src/persist): a deterministic copy of the cache's
-  // contents. Entries come back sorted by key (shard layout never leaks into
-  // the serialized form); cores in publication order.
+  // contents. Entries come back sorted by key (the group layout never leaks
+  // into the serialized form); cores in publication order.
   struct Exported {
     uint64_t vars_fingerprint = 0;
     std::vector<std::pair<QueryKey, Entry>> entries;
@@ -216,9 +188,9 @@ class QueryCache {
   // warmth iff the live universe matches the one persisted.
   void Import(Exported snapshot);
 
-  static constexpr size_t kDefaultShards = 8;
-
  private:
+  static constexpr size_t kGroups = 8;
+
   struct QueryKeyHash {
     size_t operator()(const QueryKey& k) const {
       uint64_t h = 0x2545f4914f6cdd1dULL;
@@ -229,46 +201,23 @@ class QueryCache {
     }
   };
 
-  struct Shard {
-    mutable std::shared_mutex mu;
-    // Determinism audit: entries are looked up by key and evicted wholesale
-    // (clear()), never iterated — a hit/miss verdict cannot depend on hash
-    // layout. dice_lint's unordered-iteration check keeps it that way.
-    std::unordered_map<QueryKey, Entry, QueryKeyHash> hashed_entries;
-    std::atomic<uint64_t> hits{0};
-  };
+  // Determinism audit: entries are looked up by key and evicted wholesale
+  // (clear()), never iterated — a hit/miss verdict cannot depend on hash
+  // layout. dice_lint's unordered-iteration check keeps it that way.
+  using Group = std::unordered_map<QueryKey, Entry, QueryKeyHash>;
 
-  Shard& ShardFor(const QueryKey& key) {
-    return *shards_[QueryKeyHash{}(key) % shards_.size()];
-  }
+  static size_t GroupOf(const QueryKey& key) { return QueryKeyHash{}(key) % kGroups; }
 
-  size_t max_entries_per_shard_;
+  size_t max_entries_per_group_;
   size_t max_cores_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  mutable std::shared_mutex cores_mu_;
+  std::vector<Group> groups_;
   std::deque<Core> cores_;
-
-  // Fast path reads the atomic only; the mutex serializes the rare reset.
-  std::mutex fingerprint_mu_;
-  std::atomic<uint64_t> vars_fingerprint_{0};
+  uint64_t vars_fingerprint_ = 0;
 };
 
 class Solver {
  public:
   explicit Solver(SolverOptions options = {});
-
-  // A worker-view solver for parallel candidate solving: shares `cache` (and
-  // reads/writes it concurrently with other workers), and is deterministic
-  // by construction — where a fresh solve would have to draw randomness
-  // (candidate sampling on a fully excluded domain, or the stochastic
-  // fallback) it aborts the solve and reports needed_rng() instead, so the
-  // driver can replay that query on its serial solver whose rng stream
-  // advances in candidate order exactly as the serial engine's would.
-  // Learned UNSAT cores are *not* published to the shared cache; they queue
-  // in TakeLearnedCores() for the driver to merge at batch boundaries in
-  // deterministic candidate order.
-  Solver(const SolverOptions& options, std::shared_ptr<QueryCache> cache);
 
   // Solves the conjunction of `constraints` over `vars` (domain bounds come
   // from VarInfo::lo/hi). `hint` biases the search toward a known-good
@@ -278,19 +227,8 @@ class Solver {
 
   const SolverStats& stats() const { return stats_; }
 
-  // The shared cross-run cache (hand this to worker-view solvers).
-  const std::shared_ptr<QueryCache>& cache() const { return cache_; }
-
-  // Worker-view introspection: whether the last Solve aborted because it
-  // needed randomness (always false on a serial solver), and the UNSAT cores
-  // deferred for batch-boundary merge.
-  bool needed_rng() const { return rng_needed_; }
-  std::vector<QueryCache::Core> TakeLearnedCores();
-
-  // Folds a worker's per-task counters into this solver's totals — the
-  // driver calls it for every *consumed* parallel solve, in candidate order,
-  // so stats() aggregates across the pool like the serial engine's would.
-  void AbsorbStats(const SolverStats& s);
+  // The cross-run cache (src/persist snapshots and reloads it).
+  QueryCache& cache() { return cache_; }
 
  private:
   // The post-slicing, post-cache pipeline (normalize / linearize / propagate
@@ -316,19 +254,7 @@ class Solver {
   // stochastic fallback). Verdicts produced with rng draws are not replayable
   // and must not enter the cache.
   bool core_used_rng_ = false;
-  // Worker-view mode: forbid rng draws (abort + flag instead) and defer core
-  // publication. Set iff constructed with a shared cache.
-  bool deterministic_only_ = false;
-  bool rng_needed_ = false;
-  std::vector<QueryCache::Core> pending_cores_;
-
-  std::shared_ptr<QueryCache> cache_;
-  // Guards reuse_models_ against a variable-universe change (the shared
-  // cache keeps its own fingerprint for entries and cores).
-  uint64_t vars_fingerprint_ = 0;
-  // Most-recent-first ring of (support-restricted model, owning constraints).
-  // Per-solver on purpose: model reuse is opt-in and non-deterministic.
-  std::deque<QueryCache::Entry> reuse_models_;
+  QueryCache cache_;
 };
 
 // --- Internals exposed for unit testing -------------------------------------

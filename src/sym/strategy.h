@@ -38,9 +38,6 @@ struct NegationCandidate {
   // Children of the resulting run may only negate at indices > `bound`
   // (generational search bound; prevents re-deriving the same flips).
   size_t bound = 0;
-  // Frontier position token, stamped by strategies that support Requeue so a
-  // returned candidate reclaims its exact place in the pick order.
-  uint64_t ticket = 0;
 
   const BranchRecord& negated() const { return (*path)[depth]; }
 
@@ -81,17 +78,6 @@ class SearchStrategy {
   // Next candidate to try, or nullopt when the frontier is exhausted.
   virtual std::optional<NegationCandidate> Next() = 0;
 
-  // Batch-pop support for parallel candidate solving. The driver pops a
-  // batch with consecutive Next() calls (no intervening AddPath), solves the
-  // candidates concurrently, and — once one turns SAT — Requeues the
-  // unconsumed tail *in reverse pop order, before the AddPath of the SAT
-  // run* so later Next() calls behave exactly as if the tail had never been
-  // popped. Strategies with a randomized pick order cannot honor that
-  // contract (a pop consumes rng draws) and return false from
-  // SupportsRequeue, which keeps them on the serial solve path.
-  virtual bool SupportsRequeue() const { return false; }
-  virtual void Requeue(NegationCandidate candidate) { (void)candidate; }
-
   virtual size_t FrontierSize() const = 0;
 };
 
@@ -113,8 +99,6 @@ class GenerationalStrategy : public SearchStrategy {
   std::string name() const override { return "generational"; }
   void AddPath(const Path& path, const Assignment& assignment, size_t bound) override;
   std::optional<NegationCandidate> Next() override;
-  bool SupportsRequeue() const override { return true; }
-  void Requeue(NegationCandidate candidate) override;
   size_t FrontierSize() const override { return queue_.size(); }
 
  private:
@@ -135,8 +119,6 @@ class DfsStrategy : public SearchStrategy {
   std::string name() const override { return "dfs"; }
   void AddPath(const Path& path, const Assignment& assignment, size_t bound) override;
   std::optional<NegationCandidate> Next() override;
-  bool SupportsRequeue() const override { return true; }
-  void Requeue(NegationCandidate candidate) override { stack_.push_back(std::move(candidate)); }
   size_t FrontierSize() const override { return stack_.size(); }
 
  private:
@@ -150,8 +132,6 @@ class BfsStrategy : public SearchStrategy {
   std::string name() const override { return "bfs"; }
   void AddPath(const Path& path, const Assignment& assignment, size_t bound) override;
   std::optional<NegationCandidate> Next() override;
-  bool SupportsRequeue() const override { return true; }
-  void Requeue(NegationCandidate candidate) override { queue_.push_front(std::move(candidate)); }
   size_t FrontierSize() const override { return queue_.size(); }
 
  private:

@@ -90,7 +90,7 @@ void ScheduleTrace(net::EventLoop* loop, BgpFeedNode* feed, const Trace& trace,
 
 void ScheduleTrace(net::Network* network, BgpFeedNode* feed, const Trace& trace,
                    net::SimTime start) {
-  ScheduleTrace(network->loop_for(feed->id()), feed, trace, start);
+  ScheduleTrace(network->loop(), feed, trace, start);
 }
 
 }  // namespace dice::trace

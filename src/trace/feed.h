@@ -65,9 +65,7 @@ class BgpFeedNode : public net::Node {
 void ScheduleTrace(net::EventLoop* loop, BgpFeedNode* feed, const Trace& trace,
                    net::SimTime start);
 
-// Same, resolving the loop through the network: trace events must execute on
-// the feed's own shard in a sharded simulation (serial networks resolve to
-// the one loop, so this overload is always the safe choice).
+// Same, on the network's event loop.
 void ScheduleTrace(net::Network* network, BgpFeedNode* feed, const Trace& trace,
                    net::SimTime start);
 

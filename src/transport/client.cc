@@ -301,22 +301,26 @@ StatusOr<ExploratoryBatchReply> SocketExplorationService::ExecuteBatch(
     DICE_RETURN_IF_ERROR(RevalidateEpoch());
   }
   ExploratoryBatchRequest wire = request;
-  wire.checkpoint_epoch = server_epoch_;
-  StatusOr<RpcReply> reply =
-      channel_->Call(domain_id_, RpcOp::kExecuteBatch, wire.Serialize());
+  auto call = [&]() {
+    wire.checkpoint_epoch = server_epoch_;
+    Bytes payload = wire.Serialize();
+    request_bytes_ += payload.size();
+    return channel_->Call(domain_id_, RpcOp::kExecuteBatch, std::move(payload));
+  };
+  StatusOr<RpcReply> reply = call();
   if (!reply.ok()) {
     // Transport died mid-call (maybe mid-batch). Reconnect, re-validate the
     // epoch against the (possibly restarted) server, and retry once; the
     // batch is idempotent — it only reads checkpoint clones.
     DICE_RETURN_IF_ERROR(channel_->Reconnect());
     DICE_RETURN_IF_ERROR(RevalidateEpoch());
-    wire.checkpoint_epoch = server_epoch_;
-    reply = channel_->Call(domain_id_, RpcOp::kExecuteBatch, wire.Serialize());
+    reply = call();
     if (!reply.ok()) {
       return reply.status();
     }
   }
   DICE_RETURN_IF_ERROR(reply.value().ToStatus());
+  reply_bytes_ += reply.value().payload.size();
   DICE_ASSIGN_OR_RETURN(ExploratoryBatchReply parsed,
                         ExploratoryBatchReply::Parse(reply.value().payload));
   // The caller thinks in public epochs; translate back before handing over.

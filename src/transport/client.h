@@ -148,6 +148,12 @@ class SocketExplorationService : public ExplorationService {
   uint64_t server_epoch() const { return server_epoch_; }
   uint64_t revalidations() const { return revalidations_; }
 
+  // Serialized batch bytes this stub sent (every attempt, retries included)
+  // and received (successful replies): the DXBQ/DXBP payloads, without the
+  // RPC envelope — the same quantities WireExplorationService counts.
+  uint64_t request_bytes() const { return request_bytes_; }
+  uint64_t reply_bytes() const { return reply_bytes_; }
+
  private:
   // After a reconnect: confirm the server still has our checkpoint epoch,
   // re-taking the checkpoint at the remembered sim-time if it does not.
@@ -162,6 +168,8 @@ class SocketExplorationService : public ExplorationService {
   net::SimTime last_checkpoint_now_ = 0;
   uint64_t seen_generation_ = 0;
   uint64_t revalidations_ = 0;
+  uint64_t request_bytes_ = 0;
+  uint64_t reply_bytes_ = 0;
 };
 
 // Connects to `address` and builds one stub per domain the server announces,

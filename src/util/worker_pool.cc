@@ -15,12 +15,13 @@ WorkerPool::WorkerPool(size_t workers) {
 }
 
 WorkerPool::~WorkerPool() {
-  Drain();
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
   }
   work_ready_.notify_all();
+  // Workers exit only once the queue is empty, so every task submitted
+  // before destruction runs.
   for (std::thread& t : threads_) {
     t.join();
   }
@@ -36,30 +37,6 @@ void WorkerPool::Submit(std::function<void()> task) {
   work_ready_.notify_one();
 }
 
-void WorkerPool::Drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void WorkerPool::RunBatch(WorkerPool* pool, size_t count,
-                          const std::function<void(size_t)>& task) {
-  if (pool == nullptr || count <= 1) {
-    for (size_t i = 0; i < count; ++i) {
-      task(i);
-    }
-    return;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    pool->Submit([&task, i] { task(i); });
-  }
-  pool->Drain();
-}
-
-uint64_t WorkerPool::tasks_executed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return executed_;
-}
-
 void WorkerPool::WorkerMain() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -69,15 +46,9 @@ void WorkerPool::WorkerMain() {
     }
     std::function<void()> task = std::move(queue_.front());
     queue_.pop_front();
-    ++in_flight_;
     lock.unlock();
     task();
     lock.lock();
-    --in_flight_;
-    ++executed_;
-    if (queue_.empty() && in_flight_ == 0) {
-      all_idle_.notify_all();
-    }
   }
 }
 

@@ -168,6 +168,11 @@ struct BadConfigCase {
   const char* expect_substring;
 };
 
+// gtest_discover_tests names each ctest case after the printed parameter, so
+// print the case name rather than the struct's pointer bytes, which change
+// with every load address.
+void PrintTo(const BadConfigCase& c, std::ostream* os) { *os << c.name; }
+
 class ConfigErrorTest : public ::testing::TestWithParam<BadConfigCase> {};
 
 TEST_P(ConfigErrorTest, Rejected) {
@@ -213,8 +218,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "router r { as 1; id 1.1.1.1; neighbor 2.2.2.2 { as 2; relationship frenemy; } }",
                       "customer/peer/provider"},
         BadConfigCase{"garbage_toplevel", "flux capacitor", "expected 'router'"},
-        BadConfigCase{"stray_char", "router r @ { as 1; }", "unexpected character"}),
-    [](const ::testing::TestParamInfo<BadConfigCase>& param_info) { return std::string(param_info.param.name); });
+        BadConfigCase{"stray_char", "router r @ { as 1; }", "unexpected character"}));
 
 TEST(ConfigTest, SingleRouterHelperRejectsMultiple) {
   auto parsed = ParseSingleRouterConfig("router a { as 1; id 1.1.1.1; } router b { as 2; id 2.2.2.2; }");

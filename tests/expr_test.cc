@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 #include "src/sym/expr.h"
@@ -241,73 +240,6 @@ TEST(ValueTest, BitwiseOps) {
   EXPECT_EQ(m.concrete(), 0b1000u);
   EXPECT_EQ((x | Value(1)).concrete(), 0b1101u);
   EXPECT_EQ((x ^ Value(0b1111)).concrete(), 0b0011u);
-}
-
-// --- Concurrent interning (the lock-striped table behind parallel solving) ---
-
-TEST(ExprInternTest, ConcurrentInterningAgreesOnPointerIdentity) {
-  // N threads interning the same overlapping value universe must converge on
-  // one node per distinct value — no lost entries (a thread observing a
-  // different pointer) and no duplicates (the table growing past the
-  // distinct-value count). Width 29 keeps this universe disjoint from every
-  // other test's nodes.
-  constexpr size_t kThreads = 8;
-  constexpr uint64_t kValues = 200;
-  constexpr uint64_t kVars = 16;
-  const size_t before = Expr::InternTableSize();
-  std::vector<std::vector<ExprPtr>> built(kThreads);
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([t, &built] {
-        built[t].reserve(kValues);
-        for (uint64_t v = 0; v < kValues; ++v) {
-          ExprPtr var = Expr::MakeVar(static_cast<VarId>(v % kVars), 29);
-          built[t].push_back(Expr::ULt(var, Expr::MakeConst(v, 29)));
-        }
-      });
-    }
-    for (std::thread& th : threads) {
-      th.join();
-    }
-  }
-  for (size_t t = 1; t < kThreads; ++t) {
-    ASSERT_EQ(built[t].size(), kValues);
-    for (uint64_t v = 0; v < kValues; ++v) {
-      EXPECT_EQ(built[0][v].get(), built[t][v].get())
-          << "thread " << t << " value " << v << " must share the interned node";
-    }
-  }
-  // Exactly kVars var nodes + kValues const nodes + kValues comparisons.
-  EXPECT_EQ(Expr::InternTableSize(), before + kVars + 2 * kValues);
-  built.clear();
-  EXPECT_EQ(Expr::InternTableSize(), before) << "released nodes must be evicted";
-}
-
-TEST(ExprInternTest, ConcurrentChurnLeavesNoResidue) {
-  // Threads repeatedly intern and immediately release overlapping nodes,
-  // hammering the expired-entry/deleter race: a node can die on one thread
-  // while another interns the same value. The table must end exactly where
-  // it started. (Run under TSan in CI.)
-  constexpr size_t kThreads = 8;
-  const size_t before = Expr::InternTableSize();
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([] {
-      for (uint64_t i = 0; i < 400; ++i) {
-        ExprPtr transient =
-            Expr::Eq(Expr::MakeVar(static_cast<VarId>(i % 8), 27),
-                     Expr::MakeConst(i % 32, 27));
-        (void)transient;  // dropped immediately: exercises the deleter path
-      }
-    });
-  }
-  for (std::thread& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(Expr::InternTableSize(), before);
 }
 
 }  // namespace

@@ -74,6 +74,13 @@ struct CoverCase {
   bool covers;
 };
 
+// gtest_discover_tests names each ctest case after the printed parameter;
+// the default prints the struct's bytes: two load-address-dependent pointers
+// and uninitialized padding.
+void PrintTo(const CoverCase& c, std::ostream* os) {
+  *os << c.outer << (c.covers ? "_covers_" : "_misses_") << c.inner;
+}
+
 class PrefixCoverTest : public ::testing::TestWithParam<CoverCase> {};
 
 TEST_P(PrefixCoverTest, Covers) {

@@ -277,23 +277,6 @@ TEST(LintFixture, MissingRootIsAnErrorNotAFinding) {
   EXPECT_FALSE(report.ok());
 }
 
-TEST(LintRepo, ShardedNetFilesIntroduceNoFindings) {
-  // The sharded event loop is the determinism-critical merge path: hold
-  // src/net to zero findings specifically, and require a reviewed reason on
-  // any unordered-iteration-ok suppression someone adds there.
-  LintOptions options;
-  options.root = DICE_REPO_ROOT;
-  options.paths = {"src/net"};
-  auto report = RunLint(options);
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_TRUE(report->clean()) << report->ToString();
-  EXPECT_GE(report->files_scanned, 3u);  // event_loop, network, sharded loop
-  for (const SuppressedSite& s : report->suppressed) {
-    EXPECT_FALSE(s.reason.empty())
-        << s.file << ":" << s.line << " suppression without a reason";
-  }
-}
-
 TEST(LintRepo, TransportFilesIntroduceNoFindings) {
   // The transport subsystem crosses the process boundary, which makes it the
   // easiest place to smuggle in nondeterminism (ad-hoc clocks, unordered

@@ -228,25 +228,6 @@ TEST(SolverCacheTest, UnsatSupersetShortcut) {
   EXPECT_EQ(solver.stats().cache_misses, misses_before);
 }
 
-TEST(SolverCacheTest, SatModelReuse) {
-  SolverOptions options;
-  options.enable_model_reuse = true;  // opt-in: trades reproducibility for speed
-  Solver solver(options);
-  auto vars = CacheVars();
-  Assignment hint{{0, 1}, {1, 1}};
-  // First query pins x = 700.
-  auto first = solver.Solve({Expr::Eq(V(0), C(700))}, vars, hint);
-  ASSERT_EQ(first.kind, SolveKind::kSat);
-  // A *different* query satisfied by the cached model (x = 700 >= 600) is
-  // answered by model reuse, not a fresh search.
-  uint64_t misses_before = solver.stats().cache_misses;
-  auto second = solver.Solve({Expr::UGe(V(0), C(600))}, vars, hint);
-  ASSERT_EQ(second.kind, SolveKind::kSat);
-  EXPECT_EQ(second.model.at(0), 700u);
-  EXPECT_GT(solver.stats().cache_model_reuses, 0u);
-  EXPECT_EQ(solver.stats().cache_misses, misses_before);
-}
-
 TEST(SolverCacheTest, DisabledCacheNeverCounts) {
   SolverOptions options;
   options.enable_cache = false;

@@ -1,15 +1,19 @@
 // The RPC layer end to end: envelope codec robustness, server/client round
 // trips over TCP and Unix-domain sockets, multi-domain multiplexing with
 // pipelined out-of-order replies, reconnect-with-epoch-revalidation after a
-// server restart, and bit-identity against the in-process service path.
+// server restart, bit-identity against the in-process service path, and a
+// whole federation — explorer plus served domains — in one process.
 
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/dice/distributed.h"
 #include "src/transport/client.h"
 #include "src/transport/server.h"
 #include "src/transport/stream.h"
@@ -434,9 +438,10 @@ TEST(RpcTransportTest, WarmRestartWithMatchingEpochSkipsReplay) {
 
 // --- Bit-identity with the in-process path -----------------------------------
 
-std::unique_ptr<InProcessExplorationService> MakeRealService() {
+std::unique_ptr<InProcessExplorationService> MakeRealService(
+    const std::string& name = "upstream") {
   auto config = std::make_shared<bgp::RouterConfig>();
-  config->name = "upstream";
+  config->name = name;
   config->local_as = 7;
   config->router_id = *bgp::Ipv4Address::Parse("10.0.0.7");
   bgp::NeighborConfig from_provider;
@@ -460,7 +465,7 @@ std::unique_ptr<InProcessExplorationService> MakeRealService() {
   provider_view.remote_as = 3;
   provider_view.address = *bgp::Ipv4Address::Parse("10.0.0.3");
   provider_view.established = true;
-  return std::make_unique<InProcessExplorationService>("upstream", std::move(state),
+  return std::make_unique<InProcessExplorationService>(name, std::move(state),
                                                        std::vector<bgp::PeerView>{provider_view},
                                                        2);
 }
@@ -492,6 +497,138 @@ TEST(RpcTransportTest, SocketPathIsBitIdenticalToInProcessPath) {
   ASSERT_TRUE(remote_reply.ok()) << remote_reply.status();
   EXPECT_EQ(*local_reply, *remote_reply)
       << "the socket transport changed a verdict";
+}
+
+// --- A whole federation in one process --------------------------------------
+
+// What one federated exploration concluded, plus the batch bytes it moved.
+struct FederationOutcome {
+  std::vector<std::string> detections;
+  std::vector<std::string> system_wide;
+  RemoteBatchStats stats;
+  uint64_t request_bytes = 0;
+  uint64_t reply_bytes = 0;
+};
+
+// Explores an unfiltered provider (AS 3) holding the victim 192.0.2.0/24 that
+// both remote domains also hold, so local hijacks of it are confirmed
+// system-wide, and batches of 4 updates give each domain several RPCs.
+// `count_bytes` adds the remotes' byte counters to the outcome; it runs
+// while the explorer that owns the remotes is still alive.
+FederationOutcome Federate(std::vector<std::unique_ptr<ExplorationService>> remotes,
+                           const std::function<void(FederationOutcome&)>& count_bytes) {
+  auto config = std::make_shared<bgp::RouterConfig>();
+  config->name = "provider";
+  config->local_as = 3;
+  config->router_id = *bgp::Ipv4Address::Parse("10.0.0.3");
+  bgp::NeighborConfig customer;
+  customer.address = *bgp::Ipv4Address::Parse("10.0.0.1");
+  customer.remote_as = 1;
+  config->neighbors.push_back(customer);
+  bgp::RouterState state;
+  state.config = config;
+  bgp::Route victim;
+  victim.peer = 9;
+  victim.peer_as = 9;
+  bgp::PathAttributes victim_attrs;
+  victim_attrs.origin = bgp::Origin::kIgp;
+  victim_attrs.as_path = bgp::AsPath::Sequence({9, 64500});
+  victim.attrs = std::move(victim_attrs);
+  state.rib.AddRoute(*bgp::Prefix::Parse("192.0.2.0/24"), victim);
+  bgp::PeerView customer_view;
+  customer_view.id = 1;
+  customer_view.remote_as = 1;
+  customer_view.address = customer.address;
+  customer_view.established = true;
+
+  ExplorerOptions options;
+  options.concolic.max_runs = 200;
+  DistributedExplorer dice(options);
+  dice.AddChecker(std::make_unique<HijackChecker>());
+  for (std::unique_ptr<ExplorationService>& remote : remotes) {
+    dice.AddRemoteService(std::move(remote));
+  }
+  dice.set_remote_batch_size(4);
+  dice.TakeCheckpoint(state, {customer_view}, 0);
+  bgp::UpdateMessage seed;
+  seed.attrs.origin = bgp::Origin::kIgp;
+  seed.attrs.as_path = bgp::AsPath::Sequence({1, 100});
+  seed.attrs.next_hop = customer.address;
+  seed.nlri.push_back(*bgp::Prefix::Parse("10.1.7.0/24"));
+  dice.ExploreSeed(seed, 1);
+
+  FederationOutcome out;
+  for (const Detection& d : dice.local_report().detections) {
+    out.detections.push_back(d.ToString());
+  }
+  for (const SystemWideDetection& sw : dice.system_wide()) {
+    std::string line = sw.local.ToString();
+    for (const std::string& domain : sw.adopting_domains) {
+      line += " " + domain;
+    }
+    out.system_wide.push_back(line + StrFormat(" spread=%llu",
+                                               static_cast<unsigned long long>(sw.total_spread)));
+  }
+  out.stats = dice.remote_stats();
+  count_bytes(out);
+  return out;
+}
+
+TEST(FederationInOneProcessTest, ServedDomainsMatchWireDomains) {
+  // Reference: both domains behind the byte-level in-process decorator.
+  std::vector<std::unique_ptr<ExplorationService>> wired;
+  std::vector<const WireExplorationService*> wires;
+  for (const char* name : {"upstream", "peerlat"}) {
+    auto wire = std::make_unique<WireExplorationService>(MakeRealService(name));
+    wires.push_back(wire.get());
+    wired.push_back(std::move(wire));
+  }
+  FederationOutcome reference = Federate(std::move(wired), [&](FederationOutcome& out) {
+    for (const WireExplorationService* wire : wires) {
+      out.request_bytes += wire->request_bytes();
+      out.reply_bytes += wire->reply_bytes();
+    }
+  });
+  ASSERT_FALSE(reference.detections.empty());
+  ASSERT_FALSE(reference.system_wide.empty());
+
+  // The same domains served from this process: the explorer runs sym on this
+  // thread while the server's reactor and two request workers run the
+  // domains, so under TSan this also checks that no server thread reaches the
+  // lock-free sym tables.
+  ExplorationServer::Options server_options;
+  server_options.workers = 2;
+  ExplorationServer server(server_options);
+  server.AddDomain(MakeRealService("upstream"));
+  server.AddDomain(MakeRealService("peerlat"));
+  ASSERT_TRUE(server.AddEndpoint(UniqueUnixAddress("federation")).ok());
+  ASSERT_TRUE(server.Start().ok());
+  StatusOr<std::vector<std::unique_ptr<ExplorationService>>> stubs =
+      ConnectRemoteDomains(*server.BoundAddress(0), FastOptions());
+  ASSERT_TRUE(stubs.ok()) << stubs.status();
+  std::vector<const SocketExplorationService*> sockets;
+  for (const std::unique_ptr<ExplorationService>& stub : *stubs) {
+    sockets.push_back(static_cast<const SocketExplorationService*>(stub.get()));
+  }
+  FederationOutcome served = Federate(std::move(stubs).value(), [&](FederationOutcome& out) {
+    for (const SocketExplorationService* socket : sockets) {
+      out.request_bytes += socket->request_bytes();
+      out.reply_bytes += socket->reply_bytes();
+    }
+  });
+
+  EXPECT_EQ(served.detections, reference.detections);
+  EXPECT_EQ(served.system_wide, reference.system_wide) << "a served domain changed a verdict";
+  EXPECT_EQ(served.stats.batches_sent, reference.stats.batches_sent);
+  EXPECT_EQ(served.stats.updates_sent, reference.stats.updates_sent);
+  EXPECT_EQ(served.stats.replies_received, reference.stats.replies_received);
+  EXPECT_EQ(served.stats.batch_errors, 0u);
+  EXPECT_EQ(served.stats.counters, reference.stats.counters);
+  // Batch frames have fixed-width fields, so the socket stubs count exactly
+  // the bytes the in-process decorator serializes.
+  EXPECT_GT(reference.request_bytes, 0u);
+  EXPECT_EQ(served.request_bytes, reference.request_bytes);
+  EXPECT_EQ(served.reply_bytes, reference.reply_bytes);
 }
 
 }  // namespace

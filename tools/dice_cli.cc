@@ -12,7 +12,6 @@
 //            [--anycast=192.175.48.0/24,...] [--peer=<neighbor address>]
 //            [--inject=203.0.113.0/24:64500,...]
 //            [--remote_config=upstream.conf,...] [--remote_batch_size=N]
-//            [--solver_workers=N] [--sim_shards=N]
 //            [--state_dir=DIR] [--snapshot_every=N]
 //            [--serve=tcp:HOST:PORT,...] [--serve_peer_as=AS] [--serve_workers=N]
 //
@@ -20,10 +19,6 @@
 // synthetic table) is loaded as routes from the *first* configured neighbor
 // unless --peer selects another; exploration then runs on the *last*
 // configured neighbor's session (typically the customer).
-//
-// Parallel solving: --solver_workers=N (min 1) solves independent negation
-// candidates on an N-thread worker pool; results are bit-identical to the
-// default serial engine, only faster. Omit the flag for serial solving.
 //
 // Federation: each --remote_config entry is either a neighbor domain's
 // router config file (one block; it should configure a neighbor whose AS is
@@ -44,15 +39,7 @@
 // the domain's table from its snapshot so a SIGKILLed server rejoins the
 // federation without rebuilding state. Each resolved endpoint is printed as a
 // `serving <domain> on <address>` line (tcp:...:0 shows the kernel-assigned
-// port). Incompatible with --remote_config and --sim_shards.
-//
-// Sharded simulation: --sim_shards=N (min 1) loads the table by running the
-// router and a feed node impersonating the table neighbor live on an N-shard
-// deterministic event loop (net::ShardedEventLoop) instead of applying the
-// updates directly — the session handshake, keepalive timers, and trace
-// replay all execute through the sharded scheduler, and exploration runs on
-// the live router's checkpoint. Incompatible with --state_dir (the live load
-// has no warm-restart path).
+// port). Incompatible with --remote_config.
 //
 // Durable state: --state_dir=DIR persists the solver query cache (every
 // --snapshot_every exploration runs, default 64) and the loaded router state
@@ -62,7 +49,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -74,12 +60,10 @@
 #include "bench/common.h"
 #include "src/bgp/router.h"
 #include "src/dice/distributed.h"
-#include "src/net/sharded_event_loop.h"
-#include "src/trace/dtrc.h"
-#include "src/trace/feed.h"
 #include "src/persist/query_cache_snapshot.h"
 #include "src/persist/router_state_snapshot.h"
 #include "src/persist/snapshot_store.h"
+#include "src/trace/dtrc.h"
 #include "src/trace/trace.h"
 #include "src/transport/address.h"
 #include "src/transport/client.h"
@@ -105,7 +89,6 @@ void PrintUsage(std::FILE* out) {
                "                [--runs=N] [--seed=N] [--seed-prefix=P] [--seed-asn=A]\n"
                "                [--anycast=P,...] [--peer=ADDR] [--inject=P:AS,...]\n"
                "                [--remote_config=F,...] [--remote_batch_size=N]\n"
-               "                [--solver_workers=N] [--sim_shards=N]\n"
                "                [--state_dir=DIR] [--snapshot_every=N]\n"
                "                [--serve=tcp:HOST:PORT|unix:/path|shm:/name,...]\n"
                "                [--serve_peer_as=AS] [--serve_workers=N]\n"
@@ -123,15 +106,12 @@ int ValidateArgs(int argc, char** argv, bool* help_requested) {
   static const std::set<std::string> kKnownFlags = {
       "config",  "trace",       "prefixes", "runs",    "seed",
       "peer",    "seed-prefix", "seed-asn", "anycast", "inject",
-      "remote_config", "remote_batch_size", "solver_workers",
-      "sim_shards", "state_dir", "snapshot_every",
+      "remote_config", "remote_batch_size", "state_dir", "snapshot_every",
       "serve", "serve_peer_as", "serve_workers",
   };
   static const std::set<std::string> kUintFlags = {
-      "prefixes", "runs", "seed", "seed-asn", "remote_batch_size", "solver_workers",
-      "sim_shards", "snapshot_every", "serve_peer_as", "serve_workers"};
-  bool has_sim_shards = false;
-  bool has_state_dir = false;
+      "prefixes", "runs", "seed", "seed-asn", "remote_batch_size",
+      "snapshot_every", "serve_peer_as", "serve_workers"};
   bool has_serve = false;
   bool has_remote_config = false;
   for (int i = 1; i < argc; ++i) {
@@ -163,21 +143,7 @@ int ValidateArgs(int argc, char** argv, bool* help_requested) {
       std::fprintf(stderr, "error: flag '--remote_batch_size' must be at least 1\n");
       return 2;
     }
-    if (key == "solver_workers" && *ParseUint64(value) == 0) {
-      std::fprintf(stderr, "error: flag '--solver_workers' must be at least 1 "
-                           "(omit the flag for serial solving)\n");
-      return 2;
-    }
-    if (key == "sim_shards") {
-      has_sim_shards = true;
-      if (*ParseUint64(value) == 0) {
-        std::fprintf(stderr, "error: flag '--sim_shards' must be at least 1 "
-                             "(omit the flag to load the table directly)\n");
-        return 2;
-      }
-    }
     if (key == "state_dir") {
-      has_state_dir = true;
       if (value.empty()) {
         std::fprintf(stderr, "error: flag '--state_dir' requires a non-empty directory\n");
         return 2;
@@ -225,19 +191,9 @@ int ValidateArgs(int argc, char** argv, bool* help_requested) {
       }
     }
   }
-  if (has_sim_shards && has_state_dir) {
-    std::fprintf(stderr, "error: --sim_shards is incompatible with --state_dir "
-                         "(the live simulation has no warm-restart path)\n");
-    return 2;
-  }
   if (has_serve && has_remote_config) {
     std::fprintf(stderr, "error: --serve is incompatible with --remote_config "
                          "(a server hosts its own domain; it does not dial others)\n");
-    return 2;
-  }
-  if (has_serve && has_sim_shards) {
-    std::fprintf(stderr, "error: --serve is incompatible with --sim_shards "
-                         "(served domains load their table synthetically)\n");
     return 2;
   }
   return 0;
@@ -468,8 +424,6 @@ int Run(int argc, char** argv) {
   const uint64_t runs = flags.GetUint("runs", 1000);
   const uint64_t seed = flags.GetUint("seed", 1);
   const uint64_t remote_batch_size = flags.GetUint("remote_batch_size", 64);
-  const uint64_t solver_workers = flags.GetUint("solver_workers", 0);  // 0 = serial
-  const uint64_t sim_shards = flags.GetUint("sim_shards", 0);  // 0 = direct table load
   const std::string state_dir = flags.GetString("state_dir", "");
   const uint64_t snapshot_every = flags.GetUint("snapshot_every", 64);
 
@@ -579,70 +533,7 @@ int Run(int argc, char** argv) {
   bgp::UpdateSink discard = [](bgp::PeerId, const bgp::UpdateMessage&) {};
   if (!state_loaded) {
     size_t loaded = 0;
-    if (sim_shards > 0) {
-      // Live sharded load: the router under test and a feed impersonating the
-      // table neighbor run as real simulator nodes on a ShardedEventLoop —
-      // the handshake, keepalive timers, and the table replay all execute
-      // through the sharded scheduler, and exploration below runs on the live
-      // router's checkpoint.
-      trace::Trace dump;
-      if (!trace_path.empty()) {
-        auto trace = trace::ParseTraceAuto(trace_text_str);
-        if (!trace.ok()) {
-          std::fprintf(stderr, "trace error: %s\n", trace.status().ToString().c_str());
-          return 1;
-        }
-        dump = std::move(trace).value();
-      } else {
-        trace::TraceGeneratorOptions gen_options;
-        gen_options.seed = seed;
-        gen_options.prefix_count = prefixes;
-        dump = trace::TraceGenerator(gen_options).FullDump();
-      }
-      net::SimTime trace_span = 0;
-      for (const trace::TraceEvent& ev : dump.events) {
-        trace_span = std::max(trace_span, ev.at);
-        loaded += ev.update.nlri.size();
-      }
-
-      constexpr net::NodeId kRouterNode = 1;
-      constexpr net::NodeId kFeedNode = 2;
-      net::ShardedEventLoop::Options sharded_options;
-      sharded_options.shards = static_cast<uint32_t>(sim_shards);
-      net::ShardedEventLoop sharded(sharded_options);
-      sharded.AssignNode(kRouterNode, 0);
-      // With more than one shard the feed gets its own, so the replay crosses
-      // the shard boundary and exercises the windowed merge.
-      sharded.AssignNode(kFeedNode, sim_shards > 1 ? 1 : 0);
-      net::Network net(&sharded);
-      bgp::Router router(kRouterNode, config, &net);
-      trace::BgpFeedNode feed(kFeedNode, "table-feed", table_neighbor->remote_as,
-                              table_neighbor->address, &net);
-      net.AddNode(&router);
-      net.AddNode(&feed);
-      router.RegisterPeerNode(table_neighbor->address, kFeedNode);
-      feed.SetPeer(kRouterNode);
-      router.Start();
-      net.Connect(kRouterNode, kFeedNode, net::kMillisecond);
-      uint64_t events = sharded.RunFor(5 * net::kSecond);
-      if (!router.Established(kFeedNode)) {
-        std::fprintf(stderr, "error: simulated session with %s did not establish\n",
-                     table_neighbor->address.ToString().c_str());
-        return 1;
-      }
-      trace::ScheduleTrace(&net, &feed, dump, sharded.now());
-      events += sharded.RunFor(trace_span + 20 * net::kSecond);
-      state = router.CheckpointState();
-      table_view.id = kFeedNode;  // live routes carry the feed's node id
-      std::printf("live simulation: %llu shard(s), %llu events, %llu windows, "
-                  "%llu cross-shard messages\n",
-                  static_cast<unsigned long long>(sim_shards),
-                  static_cast<unsigned long long>(events),
-                  static_cast<unsigned long long>(sharded.windows_executed()),
-                  static_cast<unsigned long long>(sharded.cross_shard_messages()));
-      std::printf("loaded table through the simulator: %zu events, %zu announced prefixes\n",
-                  dump.events.size(), loaded);
-    } else if (!trace_path.empty()) {
+    if (!trace_path.empty()) {
       auto trace = trace::ParseTraceAuto(trace_text_str);
       if (!trace.ok()) {
         std::fprintf(stderr, "trace error: %s\n", trace.status().ToString().c_str());
@@ -711,11 +602,6 @@ int Run(int argc, char** argv) {
 
   ExplorerOptions options;
   options.concolic.max_runs = runs;
-  options.solver_workers = solver_workers;
-  if (solver_workers > 0) {
-    std::printf("parallel candidate solving: %llu worker(s)\n",
-                static_cast<unsigned long long>(solver_workers));
-  }
   DistributedExplorer explorer(options);
   explorer.set_remote_batch_size(remote_batch_size);
   auto checker = std::make_unique<HijackChecker>();
@@ -738,6 +624,7 @@ int Run(int argc, char** argv) {
   // (tcp:/unix:/shm:) dials a dice_cli --serve process and adds a stub for
   // every domain it announces — same interface, real process boundary.
   std::vector<const WireExplorationService*> wires;
+  std::vector<const transport::SocketExplorationService*> sockets;
   for (const std::string& remote_entry : Split(flags.GetString("remote_config", ""), ',')) {
     if (remote_entry.empty()) {
       continue;
@@ -758,6 +645,8 @@ int Run(int argc, char** argv) {
         std::printf("federated remote domain: %s via %s (batch size %llu)\n",
                     stub->domain_name().c_str(), address->ToString().c_str(),
                     static_cast<unsigned long long>(remote_batch_size));
+        // ConnectRemoteDomains builds only socket stubs.
+        sockets.push_back(static_cast<const transport::SocketExplorationService*>(stub.get()));
         explorer.AddRemoteService(std::move(stub));
       }
       continue;
@@ -856,6 +745,10 @@ int Run(int argc, char** argv) {
     for (const WireExplorationService* wire : wires) {
       request_bytes += wire->request_bytes();
       reply_bytes += wire->reply_bytes();
+    }
+    for (const transport::SocketExplorationService* socket : sockets) {
+      request_bytes += socket->request_bytes();
+      reply_bytes += socket->reply_bytes();
     }
     std::printf("federation: %zu domain(s), %llu batch(es) of <=%llu updates, "
                 "%llu updates sent, %llu replies, %llu errors; wire bytes %llu out / %llu in; "

@@ -9,8 +9,7 @@
 //   dice_trace record --config=router.conf --out=FILE [--prefixes=N]
 //                     [--seed=N] [--rate=R] [--duration_s=S] [--text]
 //   dice_trace replay --in=FILE --config=router.conf [--runs=N]
-//                     [--sim_shards=N] [--seed-prefix=P] [--seed-asn=A]
-//                     [--anycast=P,...]
+//                     [--seed-prefix=P] [--seed-asn=A] [--anycast=P,...]
 //
 // gen synthesizes a full-table dump plus an update stream at the requested
 // scale and writes it as a compact .dtrc binary (or text with --text).
@@ -19,14 +18,12 @@
 // synthetic table+update trace in from the *first* neighbor, and captures
 // every UPDATE the router exports to the *last* neighbor — a candump of the
 // router's own egress, timestamped in sim time.
-// replay loads a trace into the configured router (directly, or through the
-// live sharded simulator with --sim_shards) and runs the same exploration as
-// dice_cli: hijack checker plus the valley-free route-leak checker (armed by
+// replay loads a trace into the configured router and runs the same
+// exploration as dice_cli: hijack checker plus the valley-free route-leak checker (armed by
 // `relationship` annotations in the config). Exit code 3 reports findings.
 //
 // Exit codes: 0 ok (no findings), 1 runtime error, 2 usage error, 3 findings.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -41,7 +38,6 @@
 #include "src/bgp/attr_intern.h"
 #include "src/bgp/router.h"
 #include "src/dice/explorer.h"
-#include "src/net/sharded_event_loop.h"
 #include "src/trace/dtrc.h"
 #include "src/trace/feed.h"
 #include "src/trace/trace.h"
@@ -83,7 +79,7 @@ void PrintUsage(std::FILE* out) {
       "  info   --in=FILE\n"
       "  record --config=router.conf --out=FILE [--prefixes=N] [--seed=N]\n"
       "         [--rate=R] [--duration_s=S] [--text]\n"
-      "  replay --in=FILE --config=router.conf [--runs=N] [--sim_shards=N]\n"
+      "  replay --in=FILE --config=router.conf [--runs=N]\n"
       "         [--seed-prefix=P] [--seed-asn=A] [--anycast=P,...]\n"
       "Traces are written as binary .dtrc unless --text; info and replay accept\n"
       "both formats (sniffed by magic).\n");
@@ -126,8 +122,8 @@ const CommandSpec* SpecFor(const std::string& command) {
       {"config", "out"},
   };
   static const CommandSpec kReplay = {
-      {"in", "config", "runs", "sim_shards", "seed-prefix", "seed-asn", "anycast"},
-      {"runs", "sim_shards", "seed-asn"},
+      {"in", "config", "runs", "seed-prefix", "seed-asn", "anycast"},
+      {"runs", "seed-asn"},
       {},
       {},
       {"in", "config"},
@@ -175,11 +171,6 @@ int ValidateArgs(const std::string& command, const CommandSpec& spec, int argc, 
     if (spec.real.count(key) != 0 && !ParsesAsDouble(value)) {
       std::fprintf(stderr, "error: flag '--%s' expects a number (got '%s')\n", key.c_str(),
                    value.c_str());
-      return 2;
-    }
-    if (key == "sim_shards" && *ParseUint64(value) == 0) {
-      std::fprintf(stderr, "error: flag '--sim_shards' must be at least 1 "
-                           "(omit the flag to load the trace directly)\n");
       return 2;
     }
   }
@@ -386,55 +377,14 @@ int RunReplay(const bench::Flags& flags) {
   table_view.address = table_neighbor->address;
   table_view.established = true;
 
-  const uint64_t sim_shards = flags.GetUint("sim_shards", 0);  // 0 = direct load
   size_t loaded = 0;
-  if (sim_shards > 0) {
-    // Same live-load path as dice_cli --sim_shards: the router and a feed
-    // impersonating the table neighbor replay the trace through the sharded
-    // deterministic scheduler, and exploration runs on the live checkpoint.
-    net::SimTime trace_span = 0;
-    for (const trace::TraceEvent& ev : trace->events) {
-      trace_span = std::max(trace_span, ev.at);
-      loaded += ev.update.nlri.size();
-    }
-    constexpr net::NodeId kRouterNode = 1;
-    constexpr net::NodeId kFeedNode = 2;
-    net::ShardedEventLoop::Options sharded_options;
-    sharded_options.shards = static_cast<uint32_t>(sim_shards);
-    net::ShardedEventLoop sharded(sharded_options);
-    sharded.AssignNode(kRouterNode, 0);
-    sharded.AssignNode(kFeedNode, sim_shards > 1 ? 1 : 0);
-    net::Network net(&sharded);
-    bgp::Router router(kRouterNode, config, &net);
-    trace::BgpFeedNode feed(kFeedNode, "table-feed", table_neighbor->remote_as,
-                            table_neighbor->address, &net);
-    net.AddNode(&router);
-    net.AddNode(&feed);
-    router.RegisterPeerNode(table_neighbor->address, kFeedNode);
-    feed.SetPeer(kRouterNode);
-    router.Start();
-    net.Connect(kRouterNode, kFeedNode, net::kMillisecond);
-    sharded.RunFor(5 * net::kSecond);
-    if (!router.Established(kFeedNode)) {
-      std::fprintf(stderr, "error: simulated session with %s did not establish\n",
-                   table_neighbor->address.ToString().c_str());
-      return 1;
-    }
-    trace::ScheduleTrace(&net, &feed, *trace, sharded.now());
-    sharded.RunFor(trace_span + 20 * net::kSecond);
-    state = router.CheckpointState();
-    table_view.id = kFeedNode;  // live routes carry the feed's node id
-    std::printf("replayed through the simulator: %llu shard(s), %zu events, %zu prefixes\n",
-                static_cast<unsigned long long>(sim_shards), trace->events.size(), loaded);
-  } else {
-    bgp::UpdateSink discard = [](bgp::PeerId, const bgp::UpdateMessage&) {};
-    for (const trace::TraceEvent& ev : trace->events) {
-      bgp::ProcessUpdate(state, {table_view}, table_view, *table_neighbor, ev.update, discard);
-      loaded += ev.update.nlri.size();
-    }
-    std::printf("replayed %s: %zu events, %zu announced prefixes\n", trace_path.c_str(),
-                trace->events.size(), loaded);
+  bgp::UpdateSink discard = [](bgp::PeerId, const bgp::UpdateMessage&) {};
+  for (const trace::TraceEvent& ev : trace->events) {
+    bgp::ProcessUpdate(state, {table_view}, table_view, *table_neighbor, ev.update, discard);
+    loaded += ev.update.nlri.size();
   }
+  std::printf("replayed %s: %zu events, %zu announced prefixes\n", trace_path.c_str(),
+              trace->events.size(), loaded);
   std::printf("RIB: %zu prefixes\n", state.rib.PrefixCount());
 
   bgp::PeerView explore_view;

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Federation end-to-end gate: a real multi-process federation (dice_cli
-# --serve processes + an exploring dice_cli) must produce verdicts
-# bit-identical to the in-process federation path, over TCP, Unix-domain
-# sockets, and shared memory — and a server SIGKILLed mid-run that
-# warm-restarts from its --state_dir must not change the final digests.
+# --serve processes + an exploring dice_cli) must produce verdicts and batch
+# byte counts bit-identical to the in-process federation path, over TCP,
+# Unix-domain sockets, and shared memory — and a server SIGKILLed mid-run
+# that warm-restarts from its --state_dir must not change the final digests.
 #
 # Usage: federation_e2e.sh <dice_cli binary> <testdata dir> <scratch dir>
 #
@@ -73,13 +73,20 @@ run_explorer() { # <name> <remote_config value> -> digests in $SCRATCH/<name>.di
   grep -E '^(detections_digest|system_wide_digest)=' "$SCRATCH/$name.log" \
     >"$SCRATCH/$name.digest"
   [ -s "$SCRATCH/$name.digest" ] || fail "explorer '$name' printed no digests"
+  # The serialized batch bytes of the federation line: batch frames have
+  # fixed-width fields, so every transport must move exactly the bytes the
+  # in-process path serializes.
+  sed -n 's/^federation: .*wire bytes \([0-9]*\) out \/ \([0-9]*\) in;.*/wire_bytes=\1 out \/ \2 in/p' \
+    "$SCRATCH/$name.log" >>"$SCRATCH/$name.digest"
+  grep -q '^wire_bytes=' "$SCRATCH/$name.digest" ||
+    fail "explorer '$name' printed no federation wire bytes"
 }
 
 check_same() { # <reference name> <candidate name>
   if ! cmp -s "$SCRATCH/$1.digest" "$SCRATCH/$2.digest"; then
     echo "--- $1 ---" >&2; cat "$SCRATCH/$1.digest" >&2
     echo "--- $2 ---" >&2; cat "$SCRATCH/$2.digest" >&2
-    fail "digest divergence between '$1' and '$2' — a transport changed a verdict"
+    fail "divergence between '$1' and '$2' — a transport changed a verdict or its bytes"
   fi
 }
 
