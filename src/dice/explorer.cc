@@ -47,9 +47,6 @@ sym::SolverStats SubtractStats(const sym::SolverStats& now, const sym::SolverSta
   d.sat = now.sat - base.sat;
   d.unsat = now.unsat - base.unsat;
   d.unknown = now.unknown - base.unknown;
-  d.fallback_used = now.fallback_used - base.fallback_used;
-  d.atoms_linearized = now.atoms_linearized - base.atoms_linearized;
-  d.atoms_nonlinear = now.atoms_nonlinear - base.atoms_nonlinear;
   d.atoms_sliced = now.atoms_sliced - base.atoms_sliced;
   d.cache_hits = now.cache_hits - base.cache_hits;
   d.cache_misses = now.cache_misses - base.cache_misses;

@@ -153,11 +153,7 @@ StatusOr<ExprPtr> RebuildNode(uint8_t op_raw, uint8_t bits, uint64_t imm, const 
     case Op::kAdd: return Expr::Add(lhs, rhs);
     case Op::kSub: return Expr::Sub(lhs, rhs);
     case Op::kMul: return Expr::Mul(lhs, rhs);
-    case Op::kAndBits: return Expr::AndBits(lhs, rhs);
-    case Op::kOrBits: return Expr::OrBits(lhs, rhs);
-    case Op::kXorBits: return Expr::XorBits(lhs, rhs);
     case Op::kShl: return Expr::Shl(lhs, rhs);
-    case Op::kShr: return Expr::Shr(lhs, rhs);
     case Op::kEq: return Expr::Eq(lhs, rhs);
     case Op::kNe: return Expr::Ne(lhs, rhs);
     case Op::kULt: return Expr::ULt(lhs, rhs);
@@ -273,7 +269,9 @@ Status LoadQueryCache(const Bytes& bytes, sym::QueryCache& cache) {
   snapshot.entries.reserve(entry_count);
   for (uint32_t i = 0; i < entry_count; ++i) {
     DICE_ASSIGN_OR_RETURN(uint8_t kind_raw, r.ReadU8());
-    if (kind_raw > static_cast<uint8_t>(SolveKind::kUnknown)) {
+    // The cache stores only SAT and UNSAT verdicts.
+    if (kind_raw != static_cast<uint8_t>(SolveKind::kSat) &&
+        kind_raw != static_cast<uint8_t>(SolveKind::kUnsat)) {
       return InvalidArgumentError(
           StrFormat("query cache snapshot: bad solve kind %u", kind_raw));
     }

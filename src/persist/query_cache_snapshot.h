@@ -28,7 +28,10 @@ namespace dice::persist {
 // "DXQC" — a query-cache snapshot can never parse as a wire batch ("DXB…")
 // or a router-state snapshot ("DXRS").
 constexpr uint32_t kQueryCacheSnapshotMagic = 0x44585143;
-constexpr uint16_t kQueryCacheSnapshotVersion = 1;
+// Version 2: op codes renumbered (bitwise ops removed) and entries hold only
+// the exact solver's SAT/UNSAT verdicts. A version-1 snapshot fails to open;
+// the snapshot store quarantines it and the process starts cold.
+constexpr uint16_t kQueryCacheSnapshotVersion = 2;
 
 // Serializes the cache's current contents (a deterministic Export walk:
 // entries sorted by key, cores in publication order).

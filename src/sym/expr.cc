@@ -14,11 +14,7 @@ const char* OpName(Op op) {
     case Op::kAdd: return "+";
     case Op::kSub: return "-";
     case Op::kMul: return "*";
-    case Op::kAndBits: return "&";
-    case Op::kOrBits: return "|";
-    case Op::kXorBits: return "^";
     case Op::kShl: return "<<";
-    case Op::kShr: return ">>";
     case Op::kEq: return "==";
     case Op::kNe: return "!=";
     case Op::kULt: return "<";
@@ -153,11 +149,7 @@ uint64_t ApplyBinary(Op op, uint64_t a, uint64_t b, uint8_t bits) {
     case Op::kAdd: r = a + b; break;
     case Op::kSub: r = a - b; break;
     case Op::kMul: r = a * b; break;
-    case Op::kAndBits: r = a & b; break;
-    case Op::kOrBits: r = a | b; break;
-    case Op::kXorBits: r = a ^ b; break;
     case Op::kShl: r = b >= 64 ? 0 : a << b; break;
-    case Op::kShr: r = b >= 64 ? 0 : a >> b; break;
     case Op::kEq: return a == b ? 1 : 0;
     case Op::kNe: return a != b ? 1 : 0;
     case Op::kULt: return a < b ? 1 : 0;
@@ -187,11 +179,7 @@ uint64_t ApplyBinary(Op op, uint64_t a, uint64_t b, uint8_t bits) {
 DICE_SYM_BINOP(Add, kAdd)
 DICE_SYM_BINOP(Sub, kSub)
 DICE_SYM_BINOP(Mul, kMul)
-DICE_SYM_BINOP(AndBits, kAndBits)
-DICE_SYM_BINOP(OrBits, kOrBits)
-DICE_SYM_BINOP(XorBits, kXorBits)
 DICE_SYM_BINOP(Shl, kShl)
-DICE_SYM_BINOP(Shr, kShr)
 #undef DICE_SYM_BINOP
 
 #define DICE_SYM_CMPOP(Name, OPK)                                                       \

@@ -33,15 +33,11 @@ namespace dice::sym {
 enum class Op : uint8_t {
   kConst,
   kVar,
-  // Arithmetic / bitwise (width = operand width).
+  // Arithmetic (width = operand width).
   kAdd,
   kSub,
   kMul,
-  kAndBits,
-  kOrBits,
-  kXorBits,
   kShl,
-  kShr,
   // Comparisons (unsigned; width 1).
   kEq,
   kNe,
@@ -80,11 +76,7 @@ class Expr {
   static ExprPtr Add(ExprPtr a, ExprPtr b);
   static ExprPtr Sub(ExprPtr a, ExprPtr b);
   static ExprPtr Mul(ExprPtr a, ExprPtr b);
-  static ExprPtr AndBits(ExprPtr a, ExprPtr b);
-  static ExprPtr OrBits(ExprPtr a, ExprPtr b);
-  static ExprPtr XorBits(ExprPtr a, ExprPtr b);
   static ExprPtr Shl(ExprPtr a, ExprPtr b);
-  static ExprPtr Shr(ExprPtr a, ExprPtr b);
   static ExprPtr Eq(ExprPtr a, ExprPtr b);
   static ExprPtr Ne(ExprPtr a, ExprPtr b);
   static ExprPtr ULt(ExprPtr a, ExprPtr b);
@@ -122,8 +114,8 @@ class Expr {
   uint64_t Eval(const Assignment& assignment) const;
 
   // Evaluates against a dense table indexed by VarId (ids >= values.size()
-  // evaluate to 0) — the allocation-free form the solver's candidate search
-  // inner loop uses.
+  // evaluate to 0) — the allocation-free form the solver's fast path and
+  // model checks use.
   uint64_t EvalDense(const std::vector<uint64_t>& values) const;
 
   void CollectVars(std::set<VarId>& out) const;

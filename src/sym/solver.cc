@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <functional>
+#include <iterator>
 #include <map>
 #include <numeric>
-#include <set>
+#include <optional>
 #include <unordered_map>
 
 #include "src/util/logging.h"
@@ -284,11 +284,13 @@ bool PropagateIntervals(const std::vector<LinearAtom>& atoms, std::vector<Interv
   return true;
 }
 
-SliceResult SliceConstraints(const std::vector<ExprPtr>& constraints,
-                             const std::vector<uint64_t>& base_dense) {
-  SliceResult out;
+namespace {
+
+// Labels each constraint with its connected component: constraints sharing a
+// variable, directly or through others, get the same label (the index of a
+// member constraint).
+std::vector<size_t> ComponentLabels(const std::vector<ExprPtr>& constraints) {
   const size_t n = constraints.size();
-  // Union-find over constraint indices, linked through shared variables.
   std::vector<size_t> parent(n);
   std::iota(parent.begin(), parent.end(), size_t{0});
   auto find = [&parent](size_t i) -> size_t {
@@ -298,17 +300,29 @@ SliceResult SliceConstraints(const std::vector<ExprPtr>& constraints,
     }
     return i;
   };
-  auto unite = [&](size_t a, size_t b) { parent[find(a)] = find(b); };
-
   std::unordered_map<VarId, size_t> var_owner;  // variable -> first constraint seen
   for (size_t i = 0; i < n; ++i) {
     for (VarId v : constraints[i]->vars()) {
       auto [it, inserted] = var_owner.emplace(v, i);
       if (!inserted) {
-        unite(i, it->second);
+        parent[find(i)] = find(it->second);
       }
     }
   }
+  std::vector<size_t> labels(n);
+  for (size_t i = 0; i < n; ++i) {
+    labels[i] = find(i);
+  }
+  return labels;
+}
+
+}  // namespace
+
+SliceResult SliceConstraints(const std::vector<ExprPtr>& constraints,
+                             const std::vector<uint64_t>& base_dense) {
+  SliceResult out;
+  const size_t n = constraints.size();
+  const std::vector<size_t> component = ComponentLabels(constraints);
 
   // A component must be solved iff the hint-completed base violates at least
   // one of its constraints. Variable-free constraints are constants: a false
@@ -326,7 +340,7 @@ SliceResult SliceConstraints(const std::vector<ExprPtr>& constraints,
       continue;
     }
     if (!satisfied) {
-      component_violated[find(i)] = 1;
+      component_violated[component[i]] = 1;
     }
   }
   for (size_t i = 0; i < n; ++i) {
@@ -334,7 +348,7 @@ SliceResult SliceConstraints(const std::vector<ExprPtr>& constraints,
       ++out.sliced_away;  // constant-true
       continue;
     }
-    if (component_violated[find(i)] != 0) {
+    if (component_violated[component[i]] != 0) {
       out.active.push_back(constraints[i]);
     } else {
       ++out.sliced_away;
@@ -469,470 +483,507 @@ void QueryCache::Import(Exported snapshot) {
   vars_fingerprint_ = snapshot.vars_fingerprint;
 }
 
-// --- Solver ------------------------------------------------------------------
-
-Solver::Solver(SolverOptions options)
-    : options_(options),
-      rng_(options.seed),
-      cache_(options.max_cache_entries, options.max_unsat_cores) {}
+// --- Exact search over interval-set domains -----------------------------------
 
 namespace {
 
-struct AtomSet {
-  std::vector<ExprPtr> all;           // every atom (for final verification)
-  std::vector<LinearAtom> linear;
-  std::vector<ExprPtr> nonlinear;
-};
+constexpr uint64_t kMaxValue = ~uint64_t{0};
 
-// Expands a conjunction with disjunction choice points into atom sets, depth
-// first, invoking `visit` for each complete choice. Returns false once the
-// path budget is exhausted.
-//
-// Disjunct order is guided by `guide` (the solver hint, i.e. the parent run's
-// assignment, as a dense VarId-indexed table): the disjunct the guide
-// satisfies is tried first. In concolic use the hint satisfies every
-// constraint except the flipped one, so the first expansion is feasible for
-// all non-flipped disjunctions and the cartesian choice space collapses to a
-// handful of visits.
-bool ExpandChoices(std::vector<ExprPtr> pending, AtomSet atoms, size_t& budget,
-                   const std::vector<uint64_t>& guide,
-                   const std::function<bool(AtomSet&)>& visit) {
-  while (!pending.empty()) {
-    ExprPtr e = pending.back();
-    pending.pop_back();
-    switch (e->op()) {
-      case Op::kConst:
-        if (e->imm() == 0) {
-          return true;  // this choice path is infeasible; keep exploring others
-        }
-        continue;
-      case Op::kLAnd:
-        pending.push_back(e->lhs());
-        pending.push_back(e->rhs());
-        continue;
-      case Op::kLNot:
-        pending.push_back(Expr::Negate(e->lhs()));
-        continue;
-      case Op::kLOr: {
-        if (budget == 0) {
-          return false;
-        }
-        --budget;
-        ExprPtr first = e->lhs();
-        ExprPtr second = e->rhs();
-        if (first->EvalDense(guide) == 0 && second->EvalDense(guide) != 0) {
-          std::swap(first, second);
-        }
-        {
-          std::vector<ExprPtr> preferred = pending;
-          preferred.push_back(std::move(first));
-          if (!ExpandChoices(std::move(preferred), atoms, budget, guide, visit)) {
-            return false;
-          }
-        }
-        pending.push_back(std::move(second));
-        continue;
-      }
-      default: {
-        atoms.all.push_back(e);
-        continue;
-      }
+// Bounds for the cross-run cache (entries / retained UNSAT cores).
+constexpr size_t kMaxCacheEntries = 4096;
+constexpr size_t kMaxUnsatCores = 1024;
+
+// Values the search may pin while enumerating multi-variable linear or
+// non-linear atoms, per decided constraint set. Running out is the only way
+// a query ends kUnknown.
+constexpr size_t kMaxEnumeratedValues = 4096;
+
+// A sorted list of disjoint closed intervals.
+using IntervalSet = std::vector<Interval>;
+
+IntervalSet Point(uint64_t v) { return {Interval{v, v}}; }
+
+bool Singleton(const IntervalSet& set) { return set.size() == 1 && set[0].lo == set[0].hi; }
+
+IntervalSet Intersect(const IntervalSet& a, const IntervalSet& b) {
+  IntervalSet out;
+  for (size_t i = 0, j = 0; i < a.size() && j < b.size();) {
+    const Interval both{std::max(a[i].lo, b[j].lo), std::min(a[i].hi, b[j].hi)};
+    if (!both.Empty()) {
+      out.push_back(both);
+    }
+    (a[i].hi < b[j].hi ? i : j) += 1;
+  }
+  return out;
+}
+
+IntervalSet Complement(const IntervalSet& set) {
+  IntervalSet out;
+  uint64_t next = 0;  // lowest value not yet covered
+  for (const Interval& r : set) {
+    if (r.lo > next) {
+      out.push_back(Interval{next, r.lo - 1});
+    }
+    if (r.hi == kMaxValue) {
+      return out;
+    }
+    next = r.hi + 1;
+  }
+  out.push_back(Interval{next, kMaxValue});
+  return out;
+}
+
+// The value of non-empty `set` nearest `anchor`, the lower one on a tie.
+uint64_t Nearest(const IntervalSet& set, uint64_t anchor) {
+  auto above = std::lower_bound(set.begin(), set.end(), anchor,
+                                [](const Interval& r, uint64_t x) { return r.hi < x; });
+  if (above != set.end() && above->lo <= anchor) {
+    return anchor;
+  }
+  if (above == set.begin()) {
+    return above->lo;
+  }
+  const uint64_t below = std::prev(above)->hi;
+  return above == set.end() || anchor - below <= above->lo - anchor ? below : above->lo;
+}
+
+enum class Truth : uint8_t { kFalse, kTrue, kUndecided };
+
+// Whether domain `d` lies inside `s` (kTrue), outside it (kFalse), or both.
+Truth Relate(const IntervalSet& d, const IntervalSet& s) {
+  const IntervalSet inside = Intersect(d, s);
+  return inside.empty() ? Truth::kFalse : (inside == d ? Truth::kTrue : Truth::kUndecided);
+}
+
+LinearAtom Negated(LinearAtom atom) {
+  switch (atom.cmp) {
+    case LinCmp::kEq: atom.cmp = LinCmp::kNe; break;
+    case LinCmp::kNe: atom.cmp = LinCmp::kEq; break;
+    case LinCmp::kLe: atom.cmp = LinCmp::kGe; atom.rhs += 1; break;
+    case LinCmp::kGe: atom.cmp = LinCmp::kLe; atom.rhs -= 1; break;
+    default: DICE_LOG(kFatal) << "strict comparisons are normalized away";
+  }
+  return atom;
+}
+
+// The values x with coef * x CMP rhs; a zero coef leaves 0 CMP rhs.
+IntervalSet AtomSet(int64_t coef, LinCmp cmp, int64_t rhs) {
+  const IntervalSet all = Complement({});
+  if (coef == 0) {
+    const bool holds = cmp == LinCmp::kEq ? rhs == 0
+                       : cmp == LinCmp::kNe ? rhs != 0
+                       : cmp == LinCmp::kLe ? rhs >= 0
+                                            : rhs <= 0;
+    return holds ? all : IntervalSet{};
+  }
+  if (cmp == LinCmp::kEq || cmp == LinCmp::kNe) {
+    const bool exact = rhs % coef == 0 && rhs / coef >= 0;
+    const IntervalSet point = exact ? Point(static_cast<uint64_t>(rhs / coef)) : IntervalSet{};
+    return cmp == LinCmp::kEq ? point : Complement(point);
+  }
+  // coef * x <= rhs bounds x above for a positive coef and below for a
+  // negative one (and the other way round for >=).
+  if ((cmp == LinCmp::kLe) == (coef > 0)) {
+    const int64_t ub = solver_internal::FloorDiv(rhs, coef);
+    return ub < 0 ? IntervalSet{} : IntervalSet{Interval{0, static_cast<uint64_t>(ub)}};
+  }
+  const int64_t lb = solver_internal::CeilDiv(rhs, coef);
+  return lb <= 0 ? all : IntervalSet{Interval{static_cast<uint64_t>(lb), kMaxValue}};
+}
+
+// The values of a sub-formula over one variable, or nullopt when some atom
+// has no interval reading (a product of variables, a shift by a variable).
+std::optional<IntervalSet> SetOf(const ExprPtr& e) {
+  if (e->op() == Op::kConst) {
+    return e->imm() != 0 ? Complement({}) : IntervalSet{};
+  }
+  if (e->op() == Op::kLNot || e->op() == Op::kLAnd || e->op() == Op::kLOr) {
+    std::optional<IntervalSet> a = SetOf(e->lhs());
+    if (!a.has_value() || e->op() == Op::kLNot) {
+      return a.has_value() ? std::optional(Complement(*a)) : std::nullopt;
+    }
+    std::optional<IntervalSet> b = SetOf(e->rhs());
+    if (!b.has_value()) {
+      return std::nullopt;
+    }
+    // a || b is the complement of !a && !b.
+    return e->op() == Op::kLAnd ? Intersect(*a, *b)
+                                : Complement(Intersect(Complement(*a), Complement(*b)));
+  }
+  std::optional<LinearAtom> atom = Linearize(e);
+  if (!atom.has_value() || atom->terms.size() > 1) {
+    return std::nullopt;
+  }
+  return AtomSet(atom->terms.empty() ? 0 : atom->terms[0].coef, atom->cmp, atom->rhs);
+}
+
+// One query's constraints as formulas over interval-set domains, and the
+// exact DPLL-style search that decides any subset of them.
+class ExactSearch {
+ public:
+  ExactSearch(const std::vector<ExprPtr>& constraints, const std::vector<VarInfo>& vars,
+              const std::vector<uint64_t>& hint)
+      : constraints_(constraints), vars_(vars), hint_(hint), domains_(hint.size()) {
+    for (const VarInfo& v : vars_) {
+      const uint64_t width_max = v.bits >= 64 ? kMaxValue : ((uint64_t{1} << v.bits) - 1);
+      domains_[v.id] = Intersect({Interval{v.lo, v.hi}}, {Interval{0, width_max}});
+    }
+    for (const ExprPtr& c : constraints_) {
+      roots_.push_back(Build(c, /*neg=*/false));
     }
   }
-  return visit(atoms);
-}
 
-// Evaluates all atoms against the dense model; returns the number satisfied.
-size_t CountSatisfiedDense(const std::vector<ExprPtr>& atoms,
-                           const std::vector<uint64_t>& model) {
-  size_t n = 0;
-  for (const ExprPtr& a : atoms) {
-    if (a->EvalDense(model) != 0) {
-      ++n;
+  // Decides all constraints, one independent component at a time. On kSat,
+  // `model` (dense, hint-initialized) holds the solution.
+  SolveKind SolveAll(std::vector<uint64_t>& model) {
+    const std::vector<size_t> labels = solver_internal::ComponentLabels(constraints_);
+    std::map<size_t, std::vector<size_t>> components;
+    for (size_t i = 0; i < labels.size(); ++i) {
+      components[labels[i]].push_back(i);
     }
+    SolveKind kind = SolveKind::kSat;
+    for (auto& [label, members] : components) {
+      const SolveKind part = Decide(std::move(members), model);
+      if (part == SolveKind::kUnsat) {
+        return part;
+      }
+      kind = part == SolveKind::kUnknown ? part : kind;
+    }
+    return kind;
   }
-  return n;
-}
 
-// True iff every disjunct expansion of `constraints` is refuted by interval
-// propagation alone (all atoms linear, some domain emptied). A conservative
-// UNSAT proof for a small constraint subset; used to learn reusable cores.
-bool RefutedByIntervals(const std::vector<ExprPtr>& constraints, const std::vector<VarInfo>& vars,
-                        const std::vector<uint64_t>& guide, size_t max_id) {
-  size_t budget = 8;  // tiny subsets only; cap the disjunct expansion hard
-  bool all_refuted = true;
-  bool completed =
-      ExpandChoices(constraints, AtomSet{}, budget, guide, [&](AtomSet& atoms) {
-        std::vector<LinearAtom> linear;
-        linear.reserve(atoms.all.size());
-        for (const ExprPtr& a : atoms.all) {
-          std::optional<LinearAtom> lin = Linearize(a);
-          if (!lin.has_value()) {
-            all_refuted = false;
-            return false;  // non-linear: no interval proof; stop
-          }
-          linear.push_back(std::move(*lin));
-        }
-        std::vector<Interval> domains(max_id + 1);
-        for (const VarInfo& v : vars) {
-          uint64_t width_max = v.bits >= 64 ? ~uint64_t{0} : ((uint64_t{1} << v.bits) - 1);
-          domains[v.id] = Interval{v.lo, std::min(v.hi, width_max)};
-        }
-        if (PropagateIntervals(linear, domains, vars)) {
-          all_refuted = false;
-          return false;  // a path survived propagation: not provably UNSAT
-        }
-        return true;
-      });
-  return completed && all_refuted;
-}
+  // Decides the conjunction of constraints[i] for i in `subset`; on kSat,
+  // writes the subset's variables into `model`. The subset is taken in
+  // structural-hash order, so the verdict and model depend only on the
+  // constraint set and the hint.
+  SolveKind Decide(std::vector<size_t> subset, std::vector<uint64_t>& model) {
+    std::stable_sort(subset.begin(), subset.end(), [this](size_t a, size_t b) {
+      return constraints_[a]->hash() < constraints_[b]->hash();
+    });
+    State state{domains_, {}};
+    support_.clear();
+    for (size_t i : subset) {
+      state.open.push_back(Ref{roots_[i], false});
+      support_.insert(support_.end(), constraints_[i]->vars().begin(),
+                      constraints_[i]->vars().end());
+    }
+    std::sort(support_.begin(), support_.end());
+    support_.erase(std::unique(support_.begin(), support_.end()), support_.end());
+    if (std::any_of(support_.begin(), support_.end(),
+                    [&](VarId v) { return state.domains[v].empty(); })) {
+      return SolveKind::kUnsat;  // lo > hi: a variable has no value at all
+    }
+    budget_ = kMaxEnumeratedValues;
+    return Search(std::move(state), model);
+  }
 
-}  // namespace
+ private:
+  // A formula node in negation normal form; kAnd/kOr children are node
+  // indices. Every node keeps its source expression: it holds at a point iff
+  // the expression evaluates nonzero there, flipped when expr_neg.
+  struct Node {
+    enum class Kind : uint8_t { kConst, kSet, kLinear, kOpaque, kAnd, kOr };
+    Kind kind = Kind::kConst;
+    ExprPtr expr;
+    bool expr_neg = false;
+    VarId var = 0;        // kSet: the node holds iff var is in set
+    IntervalSet set;
+    LinearAtom atom;      // kLinear
+    uint32_t lhs = 0;     // kAnd / kOr
+    uint32_t rhs = 0;
+  };
 
-SolveResult Solver::SolveCore(const std::vector<ExprPtr>& query, const std::vector<VarInfo>& vars,
-                              const std::vector<uint64_t>& base_dense) {
-  SolveResult result;
+  // A node taken positively or negated.
+  struct Ref {
+    uint32_t node;
+    bool neg;
+  };
 
-  // The candidate search and the stochastic fallback run entirely on flat
-  // VarId-indexed vectors (no per-candidate hash-map churn); an Assignment is
-  // materialized only for a found model.
-  const size_t max_id = base_dense.empty() ? 0 : base_dense.size() - 1;
+  struct State {
+    std::vector<IntervalSet> domains;  // indexed by VarId
+    std::vector<Ref> open;             // constraints not yet entailed by the domains
+  };
 
-  auto verify_query = [&](const std::vector<uint64_t>& model) {
-    for (const ExprPtr& c : query) {
-      if (c->EvalDense(model) == 0) {
+  // A single-variable sub-formula: it holds exactly when var is in set.
+  struct Split {
+    VarId var;
+    IntervalSet set;
+  };
+
+  uint32_t Build(const ExprPtr& e, bool neg) {
+    if (e->op() == Op::kLNot) {
+      return Build(e->lhs(), !neg);
+    }
+    Node n;
+    n.expr = e;
+    n.expr_neg = neg;
+    std::optional<IntervalSet> set = e->vars().size() == 1 ? SetOf(e) : std::nullopt;
+    std::optional<LinearAtom> atom;
+    if (set.has_value()) {
+      n.kind = Node::Kind::kSet;
+      n.var = e->vars()[0];
+      n.set = neg ? Complement(*set) : std::move(*set);
+    } else if (e->op() == Op::kLAnd || e->op() == Op::kLOr) {
+      n.kind = (e->op() == Op::kLAnd) != neg ? Node::Kind::kAnd : Node::Kind::kOr;
+      n.lhs = Build(e->lhs(), neg);
+      n.rhs = Build(e->rhs(), neg);
+    } else if (!e->vars().empty() && (atom = Linearize(e)).has_value()) {
+      n.kind = Node::Kind::kLinear;
+      n.atom = neg ? Negated(*atom) : std::move(*atom);
+    } else {
+      n.kind = e->vars().empty() ? Node::Kind::kConst : Node::Kind::kOpaque;
+    }
+    nodes_.push_back(std::move(n));
+    return static_cast<uint32_t>(nodes_.size() - 1);
+  }
+
+  bool IsAndOr(const Node& n) const {
+    return n.kind == Node::Kind::kAnd || n.kind == Node::Kind::kOr;
+  }
+  bool AndLike(const Node& n, Ref r) const { return (n.kind == Node::Kind::kAnd) != r.neg; }
+
+  bool Holds(Ref r, const std::vector<uint64_t>& point) const {
+    const Node& n = nodes_[r.node];
+    return ((n.expr->EvalDense(point) != 0) != n.expr_neg) != r.neg;
+  }
+
+  // The exact single-variable reading of a leaf under `s`: a set leaf, or a
+  // linear atom with one variable left non-singleton.
+  std::optional<Split> LeafSet(Ref r, const State& s) const {
+    const Node& n = nodes_[r.node];
+    if (n.kind == Node::Kind::kSet) {
+      return Split{n.var, r.neg ? Complement(n.set) : n.set};
+    }
+    if (n.kind != Node::Kind::kLinear) {
+      return std::nullopt;
+    }
+    const LinearAtom atom = r.neg ? Negated(n.atom) : n.atom;
+    const LinearTerm* free = nullptr;
+    int64_t rhs = atom.rhs;
+    for (const LinearTerm& t : atom.terms) {
+      if (Singleton(s.domains[t.var])) {
+        rhs -= t.coef * static_cast<int64_t>(s.domains[t.var][0].lo);
+      } else if (free != nullptr) {
+        return std::nullopt;
+      } else {
+        free = &t;
+      }
+    }
+    if (free == nullptr) {
+      return std::nullopt;
+    }
+    return Split{free->var, AtomSet(free->coef, atom.cmp, rhs)};
+  }
+
+  Truth Eval(Ref r, const State& s) const {
+    const Node& n = nodes_[r.node];
+    if (IsAndOr(n)) {
+      // A conjunction is decided by a false side, a disjunction by a true one.
+      const Truth decisive = AndLike(n, r) ? Truth::kFalse : Truth::kTrue;
+      const Truth a = Eval(Ref{n.lhs, r.neg}, s);
+      const Truth b = a == decisive ? a : Eval(Ref{n.rhs, r.neg}, s);
+      return a == decisive || b == decisive || a == b ? b : Truth::kUndecided;
+    }
+    if (n.kind == Node::Kind::kSet) {
+      const Truth t = Relate(s.domains[n.var], n.set);
+      if (t == Truth::kUndecided || !r.neg) {
+        return t;
+      }
+      return t == Truth::kTrue ? Truth::kFalse : Truth::kTrue;
+    }
+    if (std::optional<Split> leaf = LeafSet(r, s)) {
+      return Relate(s.domains[leaf->var], leaf->set);
+    }
+    // Constants, and atoms whose variables are all pinned, evaluate exactly.
+    for (VarId v : n.expr->vars()) {
+      if (!Singleton(s.domains[v])) {
+        return Truth::kUndecided;
+      }
+    }
+    std::vector<uint64_t> point = hint_;
+    for (VarId v : n.expr->vars()) {
+      point[v] = s.domains[v][0].lo;
+    }
+    return Holds(r, point) ? Truth::kTrue : Truth::kFalse;
+  }
+
+  // Tightens the domains' hulls with the open multi-variable linear atoms.
+  // Returns false on a conflict; sets `changed` when a domain shrank.
+  bool TightenLinear(State& s, bool& changed) const {
+    std::vector<LinearAtom> atoms;
+    for (const Ref& r : s.open) {
+      const Node& n = nodes_[r.node];
+      if (n.kind == Node::Kind::kLinear) {
+        atoms.push_back(r.neg ? Negated(n.atom) : n.atom);
+      }
+    }
+    // Only variables of the decided subset are read; others may be empty.
+    std::vector<Interval> hulls(s.domains.size());
+    for (VarId v : support_) {
+      hulls[v] = Interval{s.domains[v].front().lo, s.domains[v].back().hi};
+    }
+    if (atoms.empty() || !PropagateIntervals(atoms, hulls, vars_)) {
+      return atoms.empty();
+    }
+    for (VarId v : support_) {
+      IntervalSet tightened = Intersect(s.domains[v], {hulls[v]});
+      if (tightened.empty()) {
         return false;
       }
+      changed = changed || tightened != s.domains[v];
+      s.domains[v] = std::move(tightened);
     }
     return true;
-  };
+  }
 
-  // Domain ceiling from variable widths.
-  auto domain_of = [&](const VarInfo& v) {
-    uint64_t width_max = v.bits >= 64 ? ~uint64_t{0} : ((uint64_t{1} << v.bits) - 1);
-    Interval d;
-    d.lo = v.lo;
-    d.hi = std::min(v.hi, width_max);
-    return d;
-  };
-
-  bool every_path_refuted_by_intervals = true;
-  bool found = false;
-  std::vector<uint64_t> found_model;
-  size_t disjunct_budget = options_.max_disjunct_paths;
-
-  // State for the single post-expansion stochastic fallback.
-  bool have_fallback_set = false;
-  std::vector<ExprPtr> fallback_atoms;
-  std::vector<VarId> fallback_order;
-  std::vector<Interval> fallback_domains;
-
-  // Search-node budget shared across all disjunct choice paths of this query,
-  // so deeply disjunctive path conditions cannot multiply the search cost.
-  size_t search_nodes_used = 0;
-
-  // Linearization results are pure per expression node; cache them across
-  // disjunct choice paths (most atoms are common to all paths).
-  std::unordered_map<const Expr*, std::optional<LinearAtom>> lin_cache;
-  auto linearize_cached = [&](const ExprPtr& e) -> const std::optional<LinearAtom>& {
-    auto it = lin_cache.find(e.get());
-    if (it == lin_cache.end()) {
-      it = lin_cache.emplace(e.get(), Linearize(e)).first;
-    }
-    return it->second;
-  };
-
-  auto try_atom_set = [&](AtomSet& atoms) -> bool {
-    // Returning false stops the expansion (we found a model).
-    atoms.linear.clear();
-    atoms.nonlinear.clear();
-    for (const ExprPtr& a : atoms.all) {
-      const std::optional<LinearAtom>& lin = linearize_cached(a);
-      if (lin.has_value()) {
-        ++stats_.atoms_linearized;
-        atoms.linear.push_back(*lin);
-      } else {
-        ++stats_.atoms_nonlinear;
-        atoms.nonlinear.push_back(a);
-      }
-    }
-
-    // Interval propagation over a dense domain table indexed by VarId.
-    std::vector<Interval> domains(max_id + 1);
-    for (const VarInfo& v : vars) {
-      domains[v.id] = domain_of(v);
-    }
-    if (!PropagateIntervals(atoms.linear, domains, vars)) {
-      return true;  // refuted; continue with other disjunct choices
-    }
-    every_path_refuted_by_intervals = false;
-
-    // Exclusion points from single-variable Ne atoms.
-    std::map<VarId, std::set<uint64_t>> excluded;
-    for (const LinearAtom& atom : atoms.linear) {
-      if (atom.cmp == LinCmp::kNe && atom.SingleVar()) {
-        const LinearTerm& t = atom.terms[0];
-        if (atom.rhs % t.coef == 0) {
-          int64_t v = atom.rhs / t.coef;
-          if (v >= 0) {
-            excluded[t.var].insert(static_cast<uint64_t>(v));
+  // Unit propagation to a fixpoint: drops entailed constraints, intersects
+  // single-variable ones into the domains, splits conjunctions, and forces a
+  // disjunction's one live side. Returns false on a conflict.
+  bool Propagate(State& s) const {
+    for (bool tightened = false;;) {
+      bool changed = false;
+      std::vector<Ref> open;
+      for (size_t i = 0; i < s.open.size(); ++i) {  // s.open grows as conjunctions split
+        const Ref r = s.open[i];
+        const Node& n = nodes_[r.node];
+        const Truth truth = Eval(r, s);
+        if (truth != Truth::kUndecided) {
+          if (truth == Truth::kFalse) {
+            return false;
           }
+        } else if (std::optional<Split> leaf = LeafSet(r, s)) {
+          s.domains[leaf->var] = Intersect(s.domains[leaf->var], leaf->set);
+          changed = true;
+        } else if (!IsAndOr(n)) {
+          open.push_back(r);  // multi-variable linear or non-linear atom
+        } else if (AndLike(n, r)) {
+          s.open.push_back(Ref{n.lhs, r.neg});
+          s.open.push_back(Ref{n.rhs, r.neg});
+        } else if (Eval(Ref{n.lhs, r.neg}, s) == Truth::kFalse) {
+          s.open.push_back(Ref{n.rhs, r.neg});
+        } else if (Eval(Ref{n.rhs, r.neg}, s) == Truth::kFalse) {
+          s.open.push_back(Ref{n.lhs, r.neg});
+        } else {
+          open.push_back(r);
         }
       }
-    }
-
-    // Candidate values per variable: domain endpoints, the hint, and boundary
-    // solutions of each atom with other variables fixed to the hint.
-    std::map<VarId, std::vector<uint64_t>> candidates;
-    auto add_candidate = [&](VarId var, int64_t value) {
-      const Interval& d = domains[var];
-      if (value < 0) {
-        return;
-      }
-      uint64_t v = static_cast<uint64_t>(value);
-      if (v < d.lo || v > d.hi) {
-        return;
-      }
-      auto ex = excluded.find(var);
-      if (ex != excluded.end() && ex->second.count(v) != 0) {
-        return;
-      }
-      candidates[var].push_back(v);
-    };
-
-    std::set<VarId> constrained;
-    for (const LinearAtom& atom : atoms.linear) {
-      for (const LinearTerm& t : atom.terms) {
-        constrained.insert(t.var);
-      }
-    }
-    for (const ExprPtr& nl : atoms.nonlinear) {
-      constrained.insert(nl->vars().begin(), nl->vars().end());
-    }
-
-    for (VarId var : constrained) {
-      const Interval& d = domains[var];
-      add_candidate(var, static_cast<int64_t>(d.lo));
-      add_candidate(var, static_cast<int64_t>(d.hi));
-      add_candidate(var, static_cast<int64_t>(base_dense[var]));
-    }
-    for (const LinearAtom& atom : atoms.linear) {
-      for (size_t i = 0; i < atom.terms.size(); ++i) {
-        const LinearTerm& t = atom.terms[i];
-        // rest evaluated at the hint.
-        int64_t rest = 0;
-        for (size_t j = 0; j < atom.terms.size(); ++j) {
-          if (j != i) {
-            rest += atom.terms[j].coef * static_cast<int64_t>(base_dense[atom.terms[j].var]);
-          }
-        }
-        int64_t target = atom.rhs - rest;
-        int64_t exact = solver_internal::FloorDiv(target, t.coef);
-        for (int64_t delta = -1; delta <= 1; ++delta) {
-          add_candidate(t.var, exact + delta);
+      s.open = std::move(open);
+      // Bounds propagation runs once per call: on cyclic atoms (x < y,
+      // y < x) it would otherwise shave one value per round.
+      if (!changed && !tightened) {
+        tightened = true;
+        if (!TightenLinear(s, changed)) {
+          return false;
         }
       }
-    }
-    // Excluded points suggest neighbours.
-    for (const auto& [var, points] : excluded) {
-      for (uint64_t p : points) {
-        add_candidate(var, static_cast<int64_t>(p) - 1);
-        add_candidate(var, static_cast<int64_t>(p) + 1);
+      if (!changed) {
+        return true;
       }
-    }
-
-    // Dedupe and cap candidate lists. Order by distance from the hint value:
-    // concolic exploration wants the new input to stay as close to the parent
-    // run as the constraints allow, so unconstrained variables keep their
-    // seed values instead of collapsing to domain bounds.
-    std::vector<VarId> order(constrained.begin(), constrained.end());
-    for (VarId var : order) {
-      auto& list = candidates[var];
-      std::sort(list.begin(), list.end());
-      list.erase(std::unique(list.begin(), list.end()), list.end());
-      uint64_t anchor = base_dense[var];
-      std::stable_sort(list.begin(), list.end(), [anchor](uint64_t a, uint64_t b) {
-        uint64_t da = a > anchor ? a - anchor : anchor - a;
-        uint64_t db = b > anchor ? b - anchor : anchor - b;
-        return da < db;
-      });
-      if (list.size() > 24) {
-        list.resize(24);
-      }
-      if (list.empty()) {
-        // Domain may be non-empty but all candidates excluded; sample a few.
-        core_used_rng_ = true;
-        const Interval& d = domains[var];
-        for (int k = 0; k < 8 && list.size() < 4; ++k) {
-          uint64_t v = d.lo + rng_.NextBelow(d.hi - d.lo + 1);
-          auto ex = excluded.find(var);
-          if (ex == excluded.end() || ex->second.count(v) == 0) {
-            list.push_back(v);
-          }
-        }
-        if (list.empty()) {
-          return true;  // fully excluded domain: refuted for this path
-        }
-      }
-    }
-    // Most-constrained (fewest candidates) first.
-    std::sort(order.begin(), order.end(), [&](VarId a, VarId b) {
-      return candidates[a].size() < candidates[b].size();
-    });
-    // O(1) "assigned by this depth" lookups for the partial pruning below.
-    std::vector<size_t> var_pos(max_id + 1, SIZE_MAX);
-    for (size_t k = 0; k < order.size(); ++k) {
-      var_pos[order[k]] = k;
-    }
-
-    // DFS over candidate assignments, on a flat scratch model.
-    std::vector<uint64_t> model = base_dense;
-    std::function<bool(size_t)> dfs = [&](size_t depth) -> bool {
-      if (search_nodes_used >= options_.max_search_nodes) {
-        return false;
-      }
-      if (depth == order.size()) {
-        ++search_nodes_used;
-        return CountSatisfiedDense(atoms.all, model) == atoms.all.size();
-      }
-      VarId var = order[depth];
-      for (uint64_t v : candidates[var]) {
-        model[var] = v;
-        ++search_nodes_used;
-        // Partial pruning: check linear atoms whose variables are all set.
-        bool feasible = true;
-        for (const LinearAtom& atom : atoms.linear) {
-          bool ready = true;
-          int64_t sum = 0;
-          for (const LinearTerm& t : atom.terms) {
-            if (var_pos[t.var] > depth) {  // SIZE_MAX for unordered vars
-              ready = false;
-              break;
-            }
-            sum += t.coef * static_cast<int64_t>(model[t.var]);
-          }
-          if (!ready) {
-            continue;
-          }
-          bool ok = true;
-          switch (atom.cmp) {
-            case LinCmp::kEq: ok = sum == atom.rhs; break;
-            case LinCmp::kNe: ok = sum != atom.rhs; break;
-            case LinCmp::kLe: ok = sum <= atom.rhs; break;
-            case LinCmp::kGe: ok = sum >= atom.rhs; break;
-            default: ok = true; break;
-          }
-          if (!ok) {
-            feasible = false;
-            break;
-          }
-        }
-        if (feasible && dfs(depth + 1)) {
-          return true;
-        }
-      }
-      model[var] = base_dense[var];
-      return false;
-    };
-
-    if (dfs(0)) {
-      if (verify_query(model)) {
-        found = true;
-        found_model = std::move(model);
-        return false;  // stop expansion
-      }
-    }
-
-    // Remember one unresolved atom set for the (single, post-expansion)
-    // stochastic fallback — running it per disjunct path would multiply its
-    // cost by the number of choice combinations. Only non-linear leftovers
-    // warrant it: when every atom is linear, the boundary search failing
-    // means the set is (near-)infeasible and hill climbing will not help.
-    if (!have_fallback_set && !atoms.nonlinear.empty()) {
-      have_fallback_set = true;
-      fallback_atoms = atoms.all;
-      fallback_order.assign(order.begin(), order.end());
-      fallback_domains = domains;
-    }
-    return true;  // keep trying other disjunct choices
-  };
-
-  std::vector<ExprPtr> pending = query;
-  bool completed = ExpandChoices(std::move(pending), AtomSet{}, disjunct_budget, base_dense,
-                                 [&](AtomSet& atoms) { return try_atom_set(atoms); });
-
-  // Single stochastic fallback over one representative unresolved atom set
-  // (hill climbing on the number of satisfied atoms; the last resort for
-  // non-linear leftovers).
-  if (!found && have_fallback_set && !fallback_order.empty()) {
-    ++stats_.fallback_used;
-    core_used_rng_ = true;
-    std::vector<uint64_t> best = base_dense;
-    for (VarId var : fallback_order) {
-      const Interval& d = fallback_domains[var];
-      best[var] = std::clamp(best[var], d.lo, d.hi);
-    }
-    size_t best_score = CountSatisfiedDense(fallback_atoms, best);
-    std::vector<uint64_t> cur = best;
-    for (size_t iter = 0; iter < options_.max_fallback_iterations; ++iter) {
-      if (best_score == fallback_atoms.size()) {
-        break;
-      }
-      cur = best;
-      VarId var = fallback_order[rng_.NextBelow(fallback_order.size())];
-      const Interval& d = fallback_domains[var];
-      uint64_t span = d.hi - d.lo;
-      uint64_t v;
-      switch (rng_.NextBelow(4)) {
-        case 0:
-          v = d.lo + (span == ~uint64_t{0} ? rng_.NextU64() : rng_.NextBelow(span + 1));
-          break;
-        case 1:
-          v = cur[var] + 1;
-          break;
-        case 2:
-          v = cur[var] == 0 ? 0 : cur[var] - 1;
-          break;
-        default:
-          v = cur[var] ^ (uint64_t{1} << rng_.NextBelow(32));
-          break;
-      }
-      cur[var] = std::clamp(v, d.lo, d.hi);
-      size_t score = CountSatisfiedDense(fallback_atoms, cur);
-      if (score >= best_score) {
-        best_score = score;
-        best = cur;
-      }
-    }
-    if (best_score == fallback_atoms.size() && verify_query(best)) {
-      found = true;
-      found_model = std::move(best);
     }
   }
 
-  if (found) {
-    result.kind = SolveKind::kSat;
-    for (const VarInfo& v : vars) {
-      result.model[v.id] = found_model[v.id];
+  // The first undecided single-variable sub-formula under `r`, visiting a
+  // disjunction's side the hint satisfies first (else its left side). Other
+  // undecided leaves lower `pin` to their lowest non-singleton variable.
+  std::optional<Split> FindSplit(Ref r, const State& s, VarId& pin) const {
+    const Node& n = nodes_[r.node];
+    if (!IsAndOr(n)) {
+      std::optional<Split> leaf = LeafSet(r, s);
+      for (VarId v : n.expr->vars()) {
+        if (!leaf.has_value() && !Singleton(s.domains[v])) {
+          pin = std::min(pin, v);
+        }
+      }
+      return leaf;
     }
-    return result;
+    Ref first{n.lhs, r.neg};
+    Ref second{n.rhs, r.neg};
+    if (!AndLike(n, r) && !Holds(first, hint_) && Holds(second, hint_)) {
+      std::swap(first, second);
+    }
+    for (Ref kid : {first, second}) {
+      if (Eval(kid, s) == Truth::kUndecided) {
+        if (std::optional<Split> split = FindSplit(kid, s, pin)) {
+          return split;
+        }
+      }
+    }
+    return std::nullopt;
   }
-  if (completed && every_path_refuted_by_intervals) {
-    result.kind = SolveKind::kUnsat;
-    return result;
-  }
-  result.kind = SolveKind::kUnknown;
-  return result;
-}
 
-void Solver::LearnUnsatCores(const std::vector<ExprPtr>& query, const std::vector<VarInfo>& vars,
-                             const std::vector<uint64_t>& base_dense,
-                             std::vector<QueryCache::Core>& out) {
+  // kUnknown: the enumeration budget ran out before a model or a proof.
+  SolveKind Search(State s, std::vector<uint64_t>& model) {
+    if (!Propagate(s)) {
+      return SolveKind::kUnsat;
+    }
+    if (s.open.empty()) {
+      // Every constraint holds on the whole box: take its point nearest the hint.
+      for (VarId v : support_) {
+        model[v] = Nearest(s.domains[v], hint_[v]);
+      }
+      return SolveKind::kSat;
+    }
+    VarId pin = ~VarId{0};
+    std::optional<Split> split;
+    for (size_t i = 0; i < s.open.size() && !split.has_value(); ++i) {
+      split = FindSplit(s.open[i], s, pin);
+    }
+    if (split.has_value()) {
+      // Branch on the sub-formula: true first, then false.
+      State other = s;
+      other.domains[split->var] = Intersect(s.domains[split->var], Complement(split->set));
+      s.domains[split->var] = Intersect(s.domains[split->var], split->set);
+      const SolveKind first = Search(std::move(s), model);
+      if (first == SolveKind::kSat) {
+        return first;
+      }
+      const SolveKind second = Search(std::move(other), model);
+      return second == SolveKind::kSat || first != SolveKind::kUnknown ? second : first;
+    }
+    // Only multi-variable linear or non-linear atoms are left: pin their
+    // lowest free variable to its values in order of distance from the hint.
+    DICE_CHECK_LT(pin, s.domains.size());
+    bool gave_up = false;
+    while (!s.domains[pin].empty()) {
+      if (budget_ == 0) {
+        return SolveKind::kUnknown;
+      }
+      --budget_;
+      State pinned = s;
+      pinned.domains[pin] = Point(Nearest(s.domains[pin], hint_[pin]));
+      s.domains[pin] = Intersect(s.domains[pin], Complement(pinned.domains[pin]));
+      const SolveKind outcome = Search(std::move(pinned), model);
+      if (outcome == SolveKind::kSat) {
+        return outcome;
+      }
+      gave_up = gave_up || outcome == SolveKind::kUnknown;
+    }
+    return gave_up ? SolveKind::kUnknown : SolveKind::kUnsat;
+  }
+
+  const std::vector<ExprPtr>& constraints_;
+  const std::vector<VarInfo>& vars_;
+  std::vector<uint64_t> hint_;
+  std::vector<IntervalSet> domains_;  // each variable's [lo, hi] clipped to its width
+  std::vector<Node> nodes_;
+  std::vector<uint32_t> roots_;       // one node per constraint
+  std::vector<VarId> support_;        // variables of the subset being decided
+  size_t budget_ = 0;
+};
+
+// After a fresh UNSAT verdict, tries to shrink the query to a 1- or
+// 2-constraint core, so the UNSAT-superset shortcut generalizes to every
+// later query containing the same conflicting pair (concolic candidates share
+// these heavily: the same flipped range check conflicts with the same table
+// constraint regardless of the surrounding path prefix). Cores are appended
+// to `out`.
+void LearnUnsatCores(ExactSearch& search, const std::vector<ExprPtr>& query,
+                     const std::vector<uint64_t>& base_dense,
+                     std::vector<QueryCache::Core>& out) {
   constexpr size_t kMaxQueryForLearning = 128;
   if (query.size() > kMaxQueryForLearning || query.empty()) {
     return;
   }
-  const size_t max_id = base_dense.empty() ? 0 : base_dense.size() - 1;
   // In concolic use the base violates exactly the flipped predicate; a core,
   // if one exists, must contain a violated constraint.
   std::vector<size_t> violated;
@@ -953,23 +1004,28 @@ void Solver::LearnUnsatCores(const std::vector<ExprPtr>& query, const std::vecto
     }
     out.push_back(QueryCache::Core{std::move(core_key), std::move(owners)});
   };
+  std::vector<uint64_t> scratch = base_dense;
   for (size_t v_idx : violated) {
     const ExprPtr& v = query[v_idx];
-    if (RefutedByIntervals({v}, vars, base_dense, max_id)) {
+    if (search.Decide({v_idx}, scratch) == SolveKind::kUnsat) {
       add_core({v->id()}, {v});
       continue;
     }
     for (size_t j = 0; j < query.size(); ++j) {
-      if (j == v_idx) {
-        continue;
-      }
-      if (RefutedByIntervals({v, query[j]}, vars, base_dense, max_id)) {
+      if (j != v_idx && search.Decide({v_idx, j}, scratch) == SolveKind::kUnsat) {
         add_core({v->id(), query[j]->id()}, {v, query[j]});
         break;  // one learned pair per violated constraint
       }
     }
   }
 }
+
+}  // namespace
+
+// --- Solver ------------------------------------------------------------------
+
+Solver::Solver(SolverOptions options)
+    : options_(options), cache_(kMaxCacheEntries, kMaxUnsatCores) {}
 
 SolveResult Solver::Solve(const std::vector<ExprPtr>& constraints,
                           const std::vector<VarInfo>& vars, const Assignment& hint) {
@@ -1042,6 +1098,14 @@ SolveResult Solver::Solve(const std::vector<ExprPtr>& constraints,
     key.erase(std::unique(key.begin(), key.end()), key.end());
 
     auto serve_sat = [&](const QueryCache::Entry& entry) -> bool {
+      // SAT models replay a fresh solve only under the hint they were found
+      // from. Order-insensitive: a pure conjunction over all entries.
+      // dice-lint: unordered-iteration-ok(pure conjunction, no early-exit side effects)
+      for (const auto& [var, value] : entry.hint) {
+        if (var >= base_dense.size() || base_dense[var] != value) {
+          return false;
+        }
+      }
       std::vector<uint64_t> scratch = base_dense;
       // Order-insensitive: keys are unique, each write lands in a distinct
       // dense slot, and the result is read only after the loop completes.
@@ -1059,36 +1123,15 @@ SolveResult Solver::Solve(const std::vector<ExprPtr>& constraints,
       result.model = to_assignment(scratch);
       return true;
     };
-    auto same_hint = [&](const QueryCache::Entry& entry) {
-      // Order-insensitive: a pure conjunction over all entries — the verdict
-      // does not depend on which mismatch is seen first.
-      // dice-lint: unordered-iteration-ok(pure conjunction, no early-exit side effects)
-      for (const auto& [var, value] : entry.hint) {
-        if (var >= base_dense.size() || base_dense[var] != value) {
-          return false;
-        }
-      }
-      return true;
-    };
 
     if (const QueryCache::Entry* entry = cache_.Find(key)) {
-      // SAT and budget-exhausted verdicts are served only when the anchoring
-      // hint matches on the query's support (and the original solve drew no
-      // randomness — enforced at store time): under those conditions the
-      // cached verdict replays a fresh solve bit-for-bit.
       bool served = false;
       if (entry->kind == SolveKind::kUnsat) {
         ++stats_.unsat;
         result.kind = SolveKind::kUnsat;
         served = true;
-      } else if (same_hint(*entry)) {
-        if (entry->kind == SolveKind::kUnknown) {
-          ++stats_.unknown;
-          result.kind = SolveKind::kUnknown;
-          served = true;
-        } else {
-          served = serve_sat(*entry);
-        }
+      } else {
+        served = serve_sat(*entry);
       }
       if (served) {
         ++stats_.cache_hits;
@@ -1122,58 +1165,40 @@ SolveResult Solver::Solve(const std::vector<ExprPtr>& constraints,
     ++stats_.cache_misses;
   }
 
-  auto verify_full_model = [&](const Assignment& model) {
-    for (const ExprPtr& c : constraints) {
-      if (c->Eval(model) == 0) {
-        return false;
-      }
-    }
-    return true;
-  };
-  core_used_rng_ = false;
-  result = SolveCore(*query, vars, base_dense);
-  if (result.kind == SolveKind::kSat && options_.enable_slicing &&
-      !verify_full_model(result.model)) {
-    // Safety net — component disjointness should make this unreachable, but a
-    // sliced model must never be trusted without the full-conjunction check.
-    result = SolveCore(constraints, vars, base_dense);
-    if (result.kind == SolveKind::kSat && !verify_full_model(result.model)) {
-      result.kind = SolveKind::kUnknown;
-      result.model.clear();
-    }
+  ExactSearch search(*query, vars, base_dense);
+  std::vector<uint64_t> model = base_dense;
+  result.kind = search.SolveAll(model);
+  if (result.kind == SolveKind::kSat && !verify_full(model)) {
+    // Safety net: a sliced model is never trusted without the full-conjunction
+    // check, and an interval reading that disagrees with evaluation (a linear
+    // form wrapping around its bit width) gives no verdict, not a wrong one.
+    result.kind = SolveKind::kUnknown;
+  }
+  if (result.kind == SolveKind::kSat) {
+    result.model = to_assignment(model);
   }
 
-  // SAT and UNKNOWN verdicts are replayable (and thus cacheable) only when
-  // the solve drew no randomness; UNSAT is hint- and rng-independent because
-  // it is proven by interval refutation, not search.
-  const bool cacheable = result.kind == SolveKind::kUnsat || !core_used_rng_;
-  if (options_.enable_cache && cacheable) {
+  if (options_.enable_cache && result.kind != SolveKind::kUnknown) {
     QueryCache::Entry entry;
     entry.kind = result.kind;
     entry.constraints = *query;
-    if (result.kind != SolveKind::kUnsat) {
-      // Remember the anchoring hint over the query's support.
+    if (result.kind == SolveKind::kSat) {
+      // Remember the model and its anchoring hint over the query's support.
       for (const ExprPtr& c : *query) {
         for (VarId v : c->vars()) {
           entry.hint.emplace(v, base_dense[v]);
-        }
-      }
-    }
-    if (result.kind == SolveKind::kSat) {
-      for (const ExprPtr& c : *query) {
-        for (VarId v : c->vars()) {
           auto it = result.model.find(v);
           if (it != result.model.end()) {
             entry.model.emplace(v, it->second);
           }
         }
       }
-    } else if (result.kind == SolveKind::kUnsat) {
+    } else {
       // The full query is itself a proven-UNSAT core; the learner then tries
-      // to shrink it to reusable 1-2 atom cores.
+      // to shrink it to reusable 1-2 constraint cores.
       std::vector<QueryCache::Core> learned;
       learned.push_back(QueryCache::Core{key, *query});
-      LearnUnsatCores(*query, vars, base_dense, learned);
+      LearnUnsatCores(search, *query, base_dense, learned);
       cache_.PublishCores(std::move(learned));
     }
     cache_.Store(std::move(key), std::move(entry));

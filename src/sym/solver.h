@@ -1,34 +1,45 @@
 // Constraint solver for path conditions.
 //
-// Scope: the constraints concolic exploration of BGP processing produces —
-// conjunctions/disjunctions of unsigned comparisons between linear
-// combinations of small bit-vector variables and constants (prefix range
-// tests, field equalities, path-element comparisons). The solver is not
-// complete on them: it enumerates disjunction choices depth first under a
-// budget (SolverOptions::max_disjunct_paths), and when that budget runs out
-// before some choice yields a model or every choice is refuted, the verdict
-// is kUnknown. Prefix-list and trie-walk path conditions are chains of 2-4
-// way disjunctions, so a filter with a handful of entries already exceeds the
-// default budget and most queries on the provider workloads end as kUnknown.
-// Anything it cannot linearize falls back to a guided stochastic search.
-// This mirrors the paper's stack, where Crest/Oasis handed linear integer
-// arithmetic to Yices and punted on the rest (§3.1 notes DiCE avoids
-// unsolvable constructs such as hash functions entirely).
+// Scope: the constraints concolic exploration of BGP processing produces.
+// Every product path condition compares one variable with a constant (prefix
+// range tests, field equalities, path-element comparisons) under &&, || and
+// ! (src/dice/symbolic_ctx.h). On that language the solver is exact: every
+// query ends kSat or kUnsat. This mirrors the paper's stack, where Crest/Oasis
+// handed linear integer arithmetic to Yices and punted on the rest (§3.1
+// notes DiCE avoids unsolvable constructs such as hash functions entirely).
 //
 // Pipeline:
-//   0. fast path: constraint-independence slicing (drop the connected
-//      components the hint already satisfies) and a cross-run query cache
-//      keyed on the canonicalized interned-id constraint set, with an
-//      UNSAT-superset shortcut and hint-gated replay of cached verdicts;
-//   1. normalize: push negations down, split conjunctions, enumerate
-//      disjunction choices (DFS with budget);
-//   2. linearize each atom into sum(coef_i * var_i) CMP constant;
-//   3. interval propagation over variable domains;
-//   4. solution search over constraint-boundary candidate values;
-//   5. fallback: hill-climbing over the variable domains.
+//   0. fast path: the hint itself, constraint-independence slicing (drop the
+//      connected components the hint already satisfies), and a cross-run
+//      query cache keyed on the canonicalized interned-id constraint set,
+//      with an UNSAT-superset shortcut and hint-gated replay of SAT models;
+//   1. split the query into independent components; each is decided alone;
+//   2. domains: one sorted list of disjoint closed intervals per variable,
+//      starting at the variable's [lo, hi] clipped to its bit width. A
+//      sub-formula over one variable is itself an interval set (an atom gives
+//      one or two ranges; && intersects, || unites, ! complements), so a
+//      top-level constraint over one variable is intersected into its domain;
+//   3. constraints over several variables branch DPLL-style. Each open
+//      constraint is checked against the current domains; a disjunction with
+//      one live side forces that side, and one no remaining value satisfies
+//      is a conflict. A branch decides one single-variable sub-formula of the
+//      disjunction's preferred side (the side the hint satisfies, else the
+//      left one): first true, then false. Running out of branches proves
+//      UNSAT;
+//   4. linear atoms over several variables (3*len+5 == sum) tighten bounds
+//      through PropagateIntervals, then enumerate values nearest the hint up
+//      to a fixed cap; with one variable left free an atom is exact again.
 //
-// Every model returned is verified against the original constraints by
-// expression evaluation, so kSat results are trustworthy by construction.
+// The model gives each variable the value of its final domain nearest the
+// hint (ties to the lower value), so a run stays close to its parent. Every
+// choice depends only on the query's constraints and the hint — never on
+// interned ids, pointers or cache contents — so Solve(query, hint) is a pure
+// function and a cache hit, an eviction or an earlier exploration cannot
+// change a run. Only two cases still return kUnknown: the enumeration cap
+// running out, and atoms the interval reading cannot express (a product of
+// two variables), which are decided only by that enumeration. Every model
+// returned is verified against the original constraints by expression
+// evaluation, so kSat results are trustworthy by construction.
 //
 // Single-thread contract: a Solver, its QueryCache, and the Expr intern table
 // they build on (src/sym/expr.h) are used from one thread — the thread that
@@ -47,14 +58,13 @@
 
 #include "src/sym/engine.h"
 #include "src/sym/expr.h"
-#include "src/util/rng.h"
 
 namespace dice::sym {
 
 enum class SolveKind : uint8_t {
   kSat,
-  kUnsat,     // proven by interval propagation / exhausted finite search space
-  kUnknown,   // budget exhausted
+  kUnsat,     // proven: every branch of the exact search ends in a conflict
+  kUnknown,   // the enumeration cap ran out (multi-variable or non-linear atoms)
 };
 
 struct SolveResult {
@@ -63,28 +73,15 @@ struct SolveResult {
 };
 
 struct SolverOptions {
-  // Max disjunction branches explored.
-  size_t max_disjunct_paths = 256;
-  // Max candidate assignments tried in the boundary search per disjunct path.
-  size_t max_search_nodes = 20000;
-  // Max iterations of the stochastic fallback.
-  size_t max_fallback_iterations = 5000;
-  uint64_t seed = 42;
-  // Fast-path toggles. Both default on; turning them off reproduces the
-  // pre-optimization solve pipeline exactly (the baseline the perf benches
-  // compare against). The default fast path is exploration-preserving: every
-  // served SAT model is one a fresh solve would return (exact constraint
-  // set, same anchoring hint, no randomness), so runs, paths, coverage, and
-  // detections are bit-identical to the baseline. The one stats-level
-  // exception: the UNSAT-superset shortcut may classify as kUnsat a query a
-  // fresh solve would give up on as kUnknown (disjunction budget exhausted) —
-  // the driver treats both verdicts identically (skip the candidate), only
-  // the sat/unsat/unknown tallies can differ.
+  // Fast-path toggles. Both default on; turning them off runs every query
+  // through the full procedure (the oracle the identity tests and perf
+  // benches compare against). Slicing and caching change no model and no
+  // SAT/UNSAT verdict: the procedure solves independent components
+  // separately, and Solve is a pure function of the constraint set and the
+  // hint. (A learned UNSAT core may decide a query the enumeration cap would
+  // leave kUnknown.)
   bool enable_slicing = true;
   bool enable_cache = true;
-  // Bounds for the cross-run cache (entries / retained UNSAT cores).
-  size_t max_cache_entries = 4096;
-  size_t max_unsat_cores = 1024;
 };
 
 struct SolverStats {
@@ -92,9 +89,6 @@ struct SolverStats {
   uint64_t sat = 0;
   uint64_t unsat = 0;
   uint64_t unknown = 0;
-  uint64_t fallback_used = 0;
-  uint64_t atoms_linearized = 0;
-  uint64_t atoms_nonlinear = 0;
   // Independence slicing: top-level constraints dropped because their
   // connected component was already satisfied by the hint.
   uint64_t atoms_sliced = 0;
@@ -112,26 +106,26 @@ struct SolverStats {
 // conjunction used as cache key and UNSAT core.
 using QueryKey = std::vector<uint64_t>;
 
-// The cross-run query cache: verdicts keyed on the canonical constraint set,
-// plus the proven-UNSAT cores behind the superset shortcut. A cache-served
-// verdict always equals what a fresh solve of the same query under the same
-// hint would return — SAT and unknown entries are validated against the hint
-// at serve time, and UNSAT is hint-independent — so which entries happen to
-// be present changes only the hit/miss tallies, never a verdict.
+// The cross-run query cache: SAT and UNSAT verdicts keyed on the canonical
+// constraint set, plus the proven-UNSAT cores behind the superset shortcut.
+// kUnknown is never stored. A cache-served verdict always equals what a fresh
+// solve of the same query under the same hint would return — SAT entries are
+// validated against the hint at serve time, and UNSAT is hint-independent —
+// so which entries happen to be present changes only the hit/miss tallies,
+// never a verdict.
 //
 // Eviction: entries are split by key hash into kGroups groups of
 // max_entries / kGroups each, and a group is cleared wholesale when a store
-// finds it full. Eviction decides which later queries re-solve (and so draw
-// from the solver's rng), which makes the grouping part of the exploration
-// trajectory: change it only as a measured change of its own.
+// finds it full. A re-solve returns what the evicted entry held, so eviction
+// changes only hit counts, never a run.
 class QueryCache {
  public:
   struct Entry {
-    SolveKind kind = SolveKind::kUnknown;
+    SolveKind kind = SolveKind::kUnsat;
     // For kSat: the model restricted to the query's variable support.
     Assignment model;
-    // For kSat/kUnknown: the anchoring hint restricted to the support. The
-    // search is hint-anchored, so a cached verdict replays a fresh solve
+    // For kSat: the anchoring hint restricted to the support. The model is
+    // the solution nearest the hint, so a cached model replays a fresh solve
     // exactly only when the current hint matches; UNSAT is hint-independent.
     Assignment hint;
     // Keeps the constraint expressions alive so interned ids stay stable.
@@ -220,8 +214,8 @@ class Solver {
   explicit Solver(SolverOptions options = {});
 
   // Solves the conjunction of `constraints` over `vars` (domain bounds come
-  // from VarInfo::lo/hi). `hint` biases the search toward a known-good
-  // neighbourhood — concolic drivers pass the assignment of the parent run.
+  // from VarInfo::lo/hi). The search prefers, and the model stays near,
+  // `hint` — concolic drivers pass the assignment of the parent run.
   SolveResult Solve(const std::vector<ExprPtr>& constraints, const std::vector<VarInfo>& vars,
                     const Assignment& hint);
 
@@ -231,29 +225,8 @@ class Solver {
   QueryCache& cache() { return cache_; }
 
  private:
-  // The post-slicing, post-cache pipeline (normalize / linearize / propagate
-  // / search / fallback) over `query`, with `base` as the completed hint in
-  // dense VarId-indexed form.
-  SolveResult SolveCore(const std::vector<ExprPtr>& query, const std::vector<VarInfo>& vars,
-                        const std::vector<uint64_t>& base_dense);
-
-  // After a fresh UNSAT verdict, tries to shrink the query to a 1- or
-  // 2-constraint core provable by interval refutation alone, so the
-  // UNSAT-superset shortcut generalizes to every later query containing the
-  // same conflicting pair (concolic candidates share these heavily: the same
-  // flipped range check conflicts with the same table constraint regardless
-  // of the surrounding path prefix). Cores are appended to `out`.
-  void LearnUnsatCores(const std::vector<ExprPtr>& query, const std::vector<VarInfo>& vars,
-                       const std::vector<uint64_t>& base_dense,
-                       std::vector<QueryCache::Core>& out);
-
   SolverOptions options_;
   SolverStats stats_;
-  Rng rng_;
-  // Whether the last SolveCore consumed randomness (candidate sampling or the
-  // stochastic fallback). Verdicts produced with rng draws are not replayable
-  // and must not enter the cache.
-  bool core_used_rng_ = false;
   QueryCache cache_;
 };
 
@@ -275,12 +248,10 @@ struct LinearAtom {
   std::vector<LinearTerm> terms;
   LinCmp cmp = LinCmp::kEq;
   int64_t rhs = 0;
-
-  bool SingleVar() const { return terms.size() == 1; }
 };
 
 // Attempts to turn a comparison expression into a LinearAtom. Returns nullopt
-// for non-linear structure (masks, shifts by variables, products of vars).
+// for non-linear structure (shifts by variables, products of vars).
 std::optional<LinearAtom> Linearize(const ExprPtr& cmp_expr);
 
 struct Interval {
@@ -289,10 +260,11 @@ struct Interval {
   uint64_t hi = ~uint64_t{0};
 
   bool Empty() const { return lo > hi; }
+  bool operator==(const Interval&) const = default;
 };
 
-// Tightens per-variable intervals using single-variable atoms. Returns false
-// if some interval becomes empty (UNSAT for this disjunct path).
+// Tightens per-variable intervals (bounds propagation over every atom's
+// terms). Returns false if some interval becomes empty.
 bool PropagateIntervals(const std::vector<LinearAtom>& atoms, std::vector<Interval>& domains,
                         const std::vector<VarInfo>& vars);
 

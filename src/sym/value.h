@@ -42,15 +42,6 @@ class Value {
   friend Value operator*(const Value& a, const Value& b) {
     return Combine(a, b, a.concrete_ * b.concrete_, &Expr::Mul);
   }
-  friend Value operator&(const Value& a, const Value& b) {
-    return Combine(a, b, a.concrete_ & b.concrete_, &Expr::AndBits);
-  }
-  friend Value operator|(const Value& a, const Value& b) {
-    return Combine(a, b, a.concrete_ | b.concrete_, &Expr::OrBits);
-  }
-  friend Value operator^(const Value& a, const Value& b) {
-    return Combine(a, b, a.concrete_ ^ b.concrete_, &Expr::XorBits);
-  }
 
  private:
   static Value Combine(const Value& a, const Value& b, uint64_t concrete,

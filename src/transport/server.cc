@@ -107,8 +107,9 @@ void ExplorationServer::Stop() {
     return;
   }
   stopping_.store(true, std::memory_order_release);
-  // Drain workers first so no task races the transport teardown below.
-  pool_.reset();
+  // Join the transport threads before draining the pool: HandleFrame reads
+  // pool_ on those threads. Worker tasks only queue completions under
+  // completions_mu_, so they finish without the transport.
   if (reactor_thread_.joinable()) {
     reactor_.Wakeup();
     reactor_thread_.join();
@@ -119,6 +120,7 @@ void ExplorationServer::Stop() {
       endpoint->thread.join();
     }
   }
+  pool_.reset();
   running_.store(false, std::memory_order_release);
 }
 

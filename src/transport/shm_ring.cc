@@ -60,7 +60,7 @@ struct ShmRingSide {
 };
 
 struct ShmLayout {
-  uint32_t magic;
+  std::atomic<uint32_t> magic;  // stored last (release), checked first (acquire)
   uint32_t version;
   uint64_t capacity;
   std::atomic<uint32_t> shutdown;
@@ -145,8 +145,7 @@ StatusOr<std::unique_ptr<ShmRingTransport>> ShmRingTransport::Create(
   layout->shutdown.store(0, std::memory_order_relaxed);
   // The magic goes last: a client that maps mid-initialization sees
   // magic==0 and keeps retrying instead of reading half-built counters.
-  std::atomic_thread_fence(std::memory_order_release);
-  layout->magic = kShmMagic;
+  layout->magic.store(kShmMagic, std::memory_order_release);
   return std::unique_ptr<ShmRingTransport>(
       new ShmRingTransport(Role::kServer, address.path, layout));
 }
@@ -171,7 +170,8 @@ StatusOr<std::unique_ptr<ShmRingTransport>> ShmRingTransport::Open(
                                          std::strerror(errno)));
         }
         auto* layout = static_cast<ShmLayout*>(mapped);
-        if (layout->magic == kShmMagic && layout->version == kShmVersion &&
+        if (layout->magic.load(std::memory_order_acquire) == kShmMagic &&
+            layout->version == kShmVersion &&
             layout->capacity == kShmRingCapacity &&
             layout->shutdown.load(std::memory_order_acquire) == 0) {
           return std::unique_ptr<ShmRingTransport>(

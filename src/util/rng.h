@@ -1,7 +1,7 @@
 // Deterministic pseudo-random number generation.
 //
 // All randomized components in DiCE (workload generation, random-fuzz baseline,
-// the solver's guided local search) take an explicit Rng so that every run is
+// the random search strategy) take an explicit Rng so that every run is
 // reproducible from a seed. The generator is xoshiro256**, seeded via
 // SplitMix64, which is fast and statistically strong for simulation purposes.
 

@@ -7,7 +7,9 @@
 
 #include "src/dice/baselines.h"
 #include "src/dice/explorer.h"
+#include "src/trace/trace.h"
 #include "src/util/rng.h"
+#include "tests/boundary_oracle.h"
 
 namespace dice {
 namespace {
@@ -90,6 +92,21 @@ struct ProviderFixture {
     route_attrs.next_hop = *bgp::Ipv4Address::Parse("10.0.0.9");
     route.attrs = std::move(route_attrs);
     state.rib.AddRoute(P(prefix), std::move(route));
+  }
+
+  // A synthetic Internet table learned from the rest-of-Internet feed: its
+  // trie walks put many ranges on the path conditions.
+  void AddSyntheticTable(size_t prefixes) {
+    trace::TraceGeneratorOptions gen;
+    gen.prefix_count = prefixes;
+    trace::TraceGenerator generator(gen);
+    for (const trace::TraceGenerator::TableRoute& entry : generator.table()) {
+      bgp::Route route;
+      route.peer = 9;
+      route.peer_as = 9;
+      route.attrs = entry.attrs;
+      state.rib.AddRoute(entry.prefix, std::move(route));
+    }
   }
 
   std::vector<bgp::PeerView> Peers() const { return {customer_view, internet_view}; }
@@ -712,6 +729,119 @@ TEST(ExplorerTest, LocalNetworksCheckerStaysQuietOnHealthyRuns) {
   explorer.TakeCheckpoint(fixture.state, fixture.Peers(), 0);
   explorer.ExploreSeed(SeedUpdate(), 1);
   EXPECT_TRUE(explorer.report().detections.empty());
+}
+
+// --- Exact solver on the provider workload --------------------------------------
+
+// The fat-fingered provider behind a 1,000-route table: its prefix-list and
+// trie-walk path conditions chain disjunctions over nlri.addr and nlri.len,
+// the shape a budgeted disjunct search gives up on.
+TEST(ExactSolverTest, ProviderExplorationNeverGivesUp) {
+  ProviderFixture fixture("208.65.152.0/22");
+  fixture.AddSyntheticTable(1000);
+  ExplorerOptions options;
+  options.concolic.max_runs = 200;
+  Explorer explorer(options);
+  explorer.AddChecker(std::make_unique<HijackChecker>());
+  explorer.TakeCheckpoint(fixture.state, fixture.Peers(), 0);
+  explorer.ExploreSeed(SeedUpdate(), 1);
+  const ExplorationReport& report = explorer.report();
+  EXPECT_EQ(report.solver.unknown, 0u) << report.Summary();
+  EXPECT_GT(report.solver.unsat, 0u);
+  EXPECT_FALSE(report.detections.empty()) << report.Summary();
+}
+
+// Every flip query (path prefix plus the negated branch) of every run
+// recorded while exploring that fixture gets the oracle's verdict.
+TEST(ExactSolverTest, FlipQueriesMatchBoundaryOracle) {
+  ProviderFixture fixture("208.65.152.0/22");
+  fixture.AddSyntheticTable(1000);
+  const std::vector<bgp::PeerView> peers = fixture.Peers();
+  const bgp::UpdateSink discard = [](bgp::PeerId, const bgp::UpdateMessage&) {};
+  sym::Program program = [&](sym::Engine& engine) {
+    bgp::RouterState clone = fixture.state;
+    ExploreUpdateOnClone(engine, clone, peers, fixture.customer_view, SeedUpdate(),
+                         SymbolicUpdateSpec{}, discard);
+  };
+  sym::ConcolicOptions options;
+  options.max_runs = 200;
+  sym::ConcolicDriver driver(options);
+  std::vector<std::pair<sym::Assignment, std::shared_ptr<const sym::Path>>> runs;
+  driver.Explore(program, [&](const sym::Assignment& input, const sym::Path& path) {
+    runs.emplace_back(input, std::make_shared<const sym::Path>(path));
+  });
+
+  sym::Solver solver;
+  size_t flips = 0;
+  for (const auto& [input, path] : runs) {
+    for (size_t i = 0; i < path->size(); ++i) {
+      sym::NegationCandidate flip;
+      flip.path = path;
+      flip.depth = i;
+      sym::ExpectMatchesOracle(solver, flip.Constraints(), driver.engine().vars(), input);
+      ++flips;
+    }
+  }
+  EXPECT_GT(flips, 100u);
+}
+
+// A long-lived explorer's exploration of one seed does not depend on what it
+// explored before: its warm query cache serves only what a fresh solve would
+// return, so the runs, paths, coverage, detections and solved inputs equal a
+// fresh explorer's.
+TEST(ExplorerTest, ExplorationIsHistoryIndependent) {
+  ProviderFixture fixture(nullptr, /*customer_filtering=*/false);
+  fixture.AddSyntheticTable(300);
+  auto make_explorer = [&] {
+    ExplorerOptions options;
+    options.concolic.max_runs = 150;
+    auto explorer = std::make_unique<Explorer>(options);
+    explorer->AddChecker(std::make_unique<HijackChecker>());
+    explorer->TakeCheckpoint(fixture.state, fixture.Peers(), 0);
+    return explorer;
+  };
+  auto rebased = [](const std::vector<Detection>& detections, size_t from, uint64_t first_run) {
+    std::vector<std::string> out;
+    for (size_t i = from; i < detections.size(); ++i) {
+      Detection d = detections[i];
+      d.run_index -= first_run;
+      out.push_back(d.ToString() + " input " + d.input.nlri[0].ToString());
+    }
+    return out;
+  };
+
+  auto long_lived = make_explorer();
+  uint64_t first_run = 0;
+  for (const bgp::UpdateMessage& earlier :
+       {SeedUpdate("10.1.9.0/24"), SeedUpdate("198.51.100.0/24", {1, 64501})}) {
+    long_lived->ExploreSeed(earlier, 1);
+    first_run += long_lived->report().concolic.runs;
+  }
+  const size_t earlier_detections = long_lived->report().detections.size();
+  const size_t earlier_intercepted = long_lived->intercepted().size();
+  long_lived->ExploreSeed(SeedUpdate(), 1);
+  auto fresh = make_explorer();
+  fresh->ExploreSeed(SeedUpdate(), 1);
+
+  const ExplorationReport& warm = long_lived->report();
+  const ExplorationReport& cold = fresh->report();
+  EXPECT_EQ(warm.concolic.runs, cold.concolic.runs);
+  EXPECT_EQ(warm.concolic.unique_paths, cold.concolic.unique_paths);
+  EXPECT_EQ(warm.concolic.branches_covered, cold.concolic.branches_covered);
+  EXPECT_FALSE(cold.detections.empty()) << cold.Summary();
+  EXPECT_EQ(rebased(warm.detections, earlier_detections, first_run),
+            rebased(cold.detections, 0, 0));
+  EXPECT_GT(warm.solver.cache_hits, 0u) << "the earlier explorations warmed the cache";
+  // The update each accepted run propagated, in run order: the solved inputs.
+  std::vector<std::string> warm_inputs;
+  for (size_t i = earlier_intercepted; i < long_lived->intercepted().size(); ++i) {
+    warm_inputs.push_back(long_lived->intercepted()[i].update.nlri[0].ToString());
+  }
+  std::vector<std::string> cold_inputs;
+  for (const Explorer::InterceptedMessage& sent : fresh->intercepted()) {
+    cold_inputs.push_back(sent.update.nlri[0].ToString());
+  }
+  EXPECT_EQ(warm_inputs, cold_inputs);
 }
 
 // --- Baselines --------------------------------------------------------------------

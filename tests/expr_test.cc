@@ -234,13 +234,5 @@ TEST(ValueTest, BoolConnectives) {
   EXPECT_EQ(negated.expr()->op(), Op::kNe);
 }
 
-TEST(ValueTest, BitwiseOps) {
-  Value x(0b1100, Expr::MakeVar(0, 32));
-  Value m = x & Value(0b1010);
-  EXPECT_EQ(m.concrete(), 0b1000u);
-  EXPECT_EQ((x | Value(1)).concrete(), 0b1101u);
-  EXPECT_EQ((x ^ Value(0b1111)).concrete(), 0b0011u);
-}
-
 }  // namespace
 }  // namespace dice::sym

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/sym/solver.h"
+#include "src/util/rng.h"
 
 namespace dice::sym {
 namespace {

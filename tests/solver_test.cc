@@ -1,11 +1,16 @@
 // Tests for the path-condition solver: linearization, interval propagation,
-// SAT/UNSAT verdicts, disjunction handling, and a verification property over
-// random constraint systems.
+// SAT/UNSAT verdicts, disjunction handling, a verification property over
+// random constraint systems, and a differential check against the
+// boundary-point oracle.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "src/sym/solver.h"
 #include "src/util/rng.h"
+#include "tests/boundary_oracle.h"
 
 namespace dice::sym {
 namespace {
@@ -78,8 +83,6 @@ TEST(LinearizeTest, CancellingTermsDropOut) {
 
 TEST(LinearizeTest, RejectsNonLinear) {
   EXPECT_FALSE(Linearize(Expr::Eq(Expr::Mul(V(0), V(1)), C(6))).has_value());
-  EXPECT_FALSE(Linearize(Expr::Eq(Expr::AndBits(V(0), C(0xff)), C(1))).has_value());
-  EXPECT_FALSE(Linearize(Expr::Eq(Expr::Shr(V(0), C(2)), C(1))).has_value());
   EXPECT_FALSE(Linearize(Expr::MakeVar(0, 1)).has_value()) << "bare var is not a comparison";
 }
 
@@ -197,14 +200,19 @@ TEST(SolverTest, PrefixRangeConstraintShape) {
   EXPECT_FALSE(addr >= 0x0a010000 && addr <= 0x0a0100ff && len == 24);
 }
 
-TEST(SolverTest, NonLinearFallback) {
+TEST(SolverTest, ProductOfVariablesIsDecidedOnlyByBoundedEnumeration) {
   Solver solver;
-  auto vars = Vars({{0, 255}});
-  // (x & 0x0f) == 0x05 — non-linear; the stochastic fallback must find one.
-  auto result = solver.Solve({Expr::Eq(Expr::AndBits(V(0), C(0x0f)), C(0x05))}, vars, {});
-  ASSERT_EQ(result.kind, SolveKind::kSat);
-  EXPECT_EQ(result.model.at(0) & 0x0f, 0x05u);
-  EXPECT_GT(solver.stats().atoms_nonlinear, 0u);
+  // Small domains: enumeration finds a model, or exhausts them and proves UNSAT.
+  auto small = Vars({{0, 15}, {0, 15}});
+  auto product = Expr::Mul(V(0), V(1));
+  auto found = solver.Solve({Expr::Eq(product, C(35))}, small, {});
+  ASSERT_EQ(found.kind, SolveKind::kSat);
+  EXPECT_EQ(found.model.at(0) * found.model.at(1), 35u);
+  EXPECT_EQ(solver.Solve({Expr::Eq(product, C(7 * 17))}, small, {}).kind, SolveKind::kUnsat);
+  // Full 32-bit domains: the enumeration cap runs out, the one way to kUnknown.
+  auto wide = Vars({{0, 0xffffffff}, {0, 0xffffffff}});
+  EXPECT_EQ(solver.Solve({Expr::Eq(product, C(1000003))}, wide, {}).kind, SolveKind::kUnknown);
+  EXPECT_EQ(solver.stats().unknown, 1u);
 }
 
 TEST(SolverTest, StatsAccumulate) {
@@ -286,7 +294,8 @@ TEST_P(SolverSatProperty, ModelsVerify) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverSatProperty, ::testing::Values(11, 22, 33, 44));
 
-// Property: UNSAT verdicts are sound — brute force agrees on tiny domains.
+// Property: verdicts are sound and complete — brute force agrees on tiny
+// domains, and the solver never gives up on variable-vs-constant atoms.
 class SolverUnsatProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SolverUnsatProperty, UnsatNeverLies) {
@@ -325,16 +334,128 @@ TEST_P(SolverUnsatProperty, UnsatNeverLies) {
       }
       brute_sat = all;
     }
-    if (result.kind == SolveKind::kUnsat) {
-      EXPECT_FALSE(brute_sat) << "solver claimed UNSAT but a solution exists";
-    }
-    if (result.kind == SolveKind::kSat) {
-      EXPECT_TRUE(brute_sat);
-    }
+    ASSERT_NE(result.kind, SolveKind::kUnknown);
+    EXPECT_EQ(result.kind == SolveKind::kSat, brute_sat)
+        << "solver verdict disagrees with brute force";
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverUnsatProperty, ::testing::Values(5, 6, 7));
+
+// --- Differential: every verdict matches the boundary-point oracle --------------
+
+class SolverOracleProperty : public ::testing::TestWithParam<uint64_t> {};
+
+// Generated formulas: 1-4 variables of 8, 16 and 32 bits, atoms comparing one
+// variable with a constant (either side), nested &&, || and !.
+TEST_P(SolverOracleProperty, GeneratedFormulas) {
+  Rng rng(GetParam());
+  Solver solver;
+  for (int iter = 0; iter < 300; ++iter) {
+    const size_t nvars = 1 + rng.NextBelow(4);
+    std::vector<VarInfo> vars;
+    std::vector<std::vector<uint64_t>> anchors(nvars);
+    for (size_t i = 0; i < nvars; ++i) {
+      VarInfo v;
+      v.id = static_cast<VarId>(i);
+      v.bits = std::vector<uint8_t>{8, 16, 32}[rng.NextBelow(3)];
+      const uint64_t max = (uint64_t{1} << v.bits) - 1;
+      v.lo = rng.NextBool(0.5) ? 0 : rng.NextBelow(max / 2);
+      v.hi = rng.NextBool(0.5) ? max : v.lo + rng.NextBelow(max - v.lo + 1);
+      v.seed = v.lo;
+      vars.push_back(v);
+      for (int k = 0; k < 3; ++k) {
+        anchors[i].push_back(rng.NextBool(0.3) ? (rng.NextBool(0.5) ? v.lo : v.hi)
+                                               : rng.NextBelow(max + 1));
+      }
+    }
+    auto atom = [&]() -> ExprPtr {
+      const auto i = static_cast<VarId>(rng.NextBelow(nvars));
+      const uint8_t bits = vars[i].bits;
+      const uint64_t anchor = anchors[i][rng.NextBelow(3)];
+      ExprPtr x = V(i, bits);
+      ExprPtr c = C(anchor + rng.NextBelow(3) - 1, bits);
+      if (rng.NextBool(0.3)) {
+        std::swap(x, c);
+      }
+      switch (rng.NextBelow(6)) {
+        case 0: return Expr::Eq(x, c);
+        case 1: return Expr::Ne(x, c);
+        case 2: return Expr::ULt(x, c);
+        case 3: return Expr::ULe(x, c);
+        case 4: return Expr::UGt(x, c);
+        default: return Expr::UGe(x, c);
+      }
+    };
+    std::function<ExprPtr(int)> formula = [&](int depth) -> ExprPtr {
+      if (depth == 0 || rng.NextBool(0.3)) {
+        return atom();
+      }
+      switch (rng.NextBelow(3)) {
+        case 0: return Expr::LAnd(formula(depth - 1), formula(depth - 1));
+        case 1: return Expr::LOr(formula(depth - 1), formula(depth - 1));
+        default: return Expr::LNot(formula(depth - 1));
+      }
+    };
+    std::vector<ExprPtr> constraints;
+    const size_t n = 1 + rng.NextBelow(4);
+    for (size_t k = 0; k < n; ++k) {
+      constraints.push_back(formula(3));
+    }
+    Assignment hint;  // concolic hints are earlier inputs, so inside the domains
+    for (const VarInfo& v : vars) {
+      hint[v.id] = v.lo + rng.NextBelow(v.hi - v.lo + 1);
+    }
+    ExpectMatchesOracle(solver, constraints, vars, hint);
+  }
+}
+
+// Prefix-list chains: up to 16 "addr outside block || len outside [ge, le]"
+// clauses (the path condition of an unmatched prefix-list prefix), over nested
+// and overlapping blocks, optionally with a matched entry (the flipped branch)
+// and trie-walk ranges.
+TEST_P(SolverOracleProperty, PrefixListChains) {
+  Rng rng(GetParam());
+  Solver solver;
+  std::vector<VarInfo> vars(2);
+  vars[0] = VarInfo{0, "addr", 32, 0x0a000000, 0, 0xffffffff};
+  vars[1] = VarInfo{1, "len", 8, 24, 0, 32};
+  const ExprPtr addr = V(0, 32);
+  const ExprPtr len = V(1, 8);
+  auto in_range = [](const ExprPtr& x, uint64_t lo, uint64_t hi, uint8_t bits) {
+    return Expr::LAnd(Expr::UGe(x, C(lo, bits)), Expr::ULe(x, C(hi, bits)));
+  };
+  for (int iter = 0; iter < 200; ++iter) {
+    // Blocks live under one of two /8s so that they nest and overlap.
+    std::vector<ExprPtr> matches;
+    const size_t entries = 1 + rng.NextBelow(16);
+    for (size_t k = 0; k < entries; ++k) {
+      const auto plen = static_cast<uint32_t>(8 + rng.NextBelow(17));
+      const uint64_t mask = (0xffffffffULL << (32 - plen)) & 0xffffffffULL;
+      const uint64_t net =
+          ((rng.NextBool(0.5) ? 0x0a000000ULL : 0xc0000000ULL) | rng.NextBelow(1ULL << 24)) & mask;
+      const uint64_t bcast = net | (~mask & 0xffffffffULL);
+      const uint64_t ge = plen + rng.NextBelow(33 - plen);
+      const uint64_t le = ge + rng.NextBelow(33 - ge);
+      matches.push_back(Expr::LAnd(in_range(addr, net, bcast, 32), in_range(len, ge, le, 8)));
+    }
+    std::vector<ExprPtr> constraints;
+    for (const ExprPtr& m : matches) {
+      constraints.push_back(rng.NextBool(0.5) ? Expr::Negate(m) : Expr::LNot(m));
+    }
+    if (rng.NextBool(0.5)) {
+      constraints.back() = matches.back();  // the flipped entry now matches
+    }
+    if (rng.NextBool(0.5)) {
+      const uint64_t lo = rng.NextBelow(1ULL << 32);
+      constraints.push_back(in_range(addr, lo, lo + rng.NextBelow(1ULL << 26), 32));
+    }
+    Assignment hint{{0, rng.NextBelow(1ULL << 32)}, {1, rng.NextBelow(33)}};
+    ExpectMatchesOracle(solver, constraints, vars, hint);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SolverOracleProperty, ::testing::Values(1, 2, 3, 4));
 
 }  // namespace
 }  // namespace dice::sym
