@@ -19,6 +19,7 @@
 // --hh_reps=N (head-to-head repetitions), --prefixes=N; F1e (federated
 // fan-out): --remote_domains=N, --remote_batch=N, --rpc_inputs=N.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -134,9 +135,26 @@ void RealFilterSeries(uint64_t runs, uint64_t seed, size_t prefixes) {
 
 struct HeadToHeadSide {
   double seconds = 0;
-  sym::ConcolicStats concolic;
-  size_t detections = 0;
+  std::vector<ExplorationReport> reps;  // one per repetition, in order
 };
+
+// The head-to-head gates: two sides explored identically, repetition by
+// repetition — same runs, paths, coverage, accept/reject split, detections.
+bool SameExplorations(const std::vector<ExplorationReport>& a,
+                      const std::vector<ExplorationReport>& b) {
+  auto same_detection = [](const Detection& x, const Detection& y) {
+    return x.ToString() == y.ToString() && x.input == y.input;
+  };
+  auto same = [&](const ExplorationReport& x, const ExplorationReport& y) {
+    return x.concolic.runs == y.concolic.runs &&
+           x.concolic.unique_paths == y.concolic.unique_paths &&
+           x.concolic.branches_covered == y.concolic.branches_covered &&
+           x.runs_accepted == y.runs_accepted && x.runs_rejected == y.runs_rejected &&
+           std::equal(x.detections.begin(), x.detections.end(), y.detections.begin(),
+                      y.detections.end(), same_detection);
+  };
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), same);
+}
 
 // Wide synthetic handler: every branch tests an independent variable, so each
 // negation query slices to a single atom and the cross-run cache sees the
@@ -157,7 +175,10 @@ HeadToHeadSide RunSyntheticSide(bool fast, uint64_t branches, uint64_t budget, u
         engine.Branch(x > sym::Value(500), i + 1);
       }
     });
-    side.concolic = driver.stats();
+    ExplorationReport report;
+    report.concolic = driver.stats();
+    report.solver = driver.solver_stats();
+    side.reps.push_back(std::move(report));
   }
   side.seconds = timer.Seconds();
   return side;
@@ -189,24 +210,15 @@ HeadToHeadSide RunRealSide(bool fast, uint64_t budget, uint64_t seed, size_t pre
   explorer.TakeCheckpoint(fig2.provider(), fig2.loop().now());
 
   HeadToHeadSide side;
-  size_t detections_before = 0;
   for (uint64_t rep = 0; rep < reps; ++rep) {
     Stopwatch timer;
     explorer.StartExploration(fig2.CustomerSeedUpdate(), Fig2::kCustomerNode);
     while (explorer.Step()) {
     }
     side.seconds += timer.Seconds();
-    side.concolic = explorer.report().concolic;
-    side.detections = explorer.report().detections.size() - detections_before;
-    detections_before = explorer.report().detections.size();
+    side.reps.push_back(explorer.report());
   }
   return side;
-}
-
-bool SidesIdentical(const HeadToHeadSide& a, const HeadToHeadSide& b) {
-  return a.concolic.runs == b.concolic.runs && a.concolic.unique_paths == b.concolic.unique_paths &&
-         a.concolic.branches_covered == b.concolic.branches_covered &&
-         a.detections == b.detections;
 }
 
 // --- State-layer fast path head-to-head (F1d) -------------------------------
@@ -216,18 +228,6 @@ bool SidesIdentical(const HeadToHeadSide& a, const HeadToHeadSide& b) {
 // extra established sessions — a realistic transit router shape — under an
 // adversarial seed whose runs are mostly rejected. Lazy clones answer those
 // reject runs straight from the checkpoint: zero copies.
-
-struct StateSide {
-  double seconds = 0;
-  sym::ConcolicStats concolic;
-  size_t detections = 0;
-  uint64_t runs_accepted = 0;
-  uint64_t runs_rejected = 0;
-  uint64_t clones_avoided = 0;
-  uint64_t clones_materialized = 0;
-  uint64_t bytes_cloned = 0;
-  uint64_t total_runs = 0;  // across all reps
-};
 
 // Widens the provider's peering: `fanout` extra established sessions, each
 // with an Adj-RIB-Out entry. They are PeerViews without NeighborConfigs, so
@@ -250,8 +250,10 @@ void AddFanoutPeers(bgp::RouterState& state, std::vector<bgp::PeerView>& peers,
   }
 }
 
-StateSide RunStateSide(bool lazy, uint64_t budget, uint64_t seed, size_t prefixes,
-                       size_t entries, size_t fanout, uint64_t reps) {
+// One report per repetition, in order.
+std::vector<ExplorationReport> RunStateSide(bool lazy, uint64_t budget, uint64_t seed,
+                                            size_t prefixes, size_t entries, size_t fanout,
+                                            uint64_t reps) {
   Fig2Options options;
   options.prefixes = prefixes;
   options.seed = seed;
@@ -280,33 +282,14 @@ StateSide RunStateSide(bool lazy, uint64_t budget, uint64_t seed, size_t prefixe
   seed_update.attrs.next_hop = *bgp::Ipv4Address::Parse("10.0.0.1");
   seed_update.nlri.push_back(*bgp::Prefix::Parse("198.51.100.0/24"));
 
-  StateSide side;
-  size_t detections_before = 0;
+  std::vector<ExplorationReport> side;
   for (uint64_t rep = 0; rep < reps; ++rep) {
-    Stopwatch timer;
     explorer.StartExploration(seed_update, Fig2::kCustomerNode);
     while (explorer.Step()) {
     }
-    side.seconds += timer.Seconds();
-    side.concolic = explorer.report().concolic;
-    side.detections = explorer.report().detections.size() - detections_before;
-    detections_before = explorer.report().detections.size();
-    side.total_runs += explorer.report().concolic.runs;
+    side.push_back(explorer.report());
   }
-  side.runs_accepted = explorer.report().runs_accepted;
-  side.runs_rejected = explorer.report().runs_rejected;
-  side.clones_avoided = explorer.report().clones_avoided;
-  side.clones_materialized = explorer.report().clones_materialized;
-  side.bytes_cloned = explorer.checkpoints().bytes_cloned();
   return side;
-}
-
-bool StateSidesIdentical(const StateSide& a, const StateSide& b) {
-  return a.concolic.runs == b.concolic.runs &&
-         a.concolic.unique_paths == b.concolic.unique_paths &&
-         a.concolic.branches_covered == b.concolic.branches_covered &&
-         a.detections == b.detections && a.runs_accepted == b.runs_accepted &&
-         a.runs_rejected == b.runs_rejected;
 }
 
 // The steady-state per-run state cost, measured on the real concrete import
@@ -387,15 +370,22 @@ int StateHeadToHead(uint64_t runs, uint64_t seed, size_t prefixes, size_t entrie
 
   // Gate: full exploration with lazy clones on vs off must be bit-identical
   // (paths, coverage, detections, accept/reject split) at equal budgets.
-  StateSide eager = RunStateSide(/*lazy=*/false, runs, seed, prefixes, entries, fanout, reps);
-  StateSide lazy = RunStateSide(/*lazy=*/true, runs, seed, prefixes, entries, fanout, reps);
-  bool identical = StateSidesIdentical(eager, lazy);
+  std::vector<ExplorationReport> eager =
+      RunStateSide(/*lazy=*/false, runs, seed, prefixes, entries, fanout, reps);
+  std::vector<ExplorationReport> lazy =
+      RunStateSide(/*lazy=*/true, runs, seed, prefixes, entries, fanout, reps);
+  bool identical = SameExplorations(eager, lazy);
+  uint64_t lazy_avoided = 0;
+  uint64_t lazy_materialized = 0;
+  for (const ExplorationReport& rep : lazy) {
+    lazy_avoided += rep.clones_avoided;
+    lazy_materialized += rep.clones_materialized;
+  }
   std::printf("exploration gate (%llu reps, budget %llu): results %s, "
               "reject runs zero-copy: %llu of %llu\n",
               static_cast<unsigned long long>(reps), static_cast<unsigned long long>(runs),
-              identical ? "identical" : "DIVERGED",
-              static_cast<unsigned long long>(lazy.clones_avoided),
-              static_cast<unsigned long long>(lazy.clones_avoided + lazy.clones_materialized));
+              identical ? "identical" : "DIVERGED", static_cast<unsigned long long>(lazy_avoided),
+              static_cast<unsigned long long>(lazy_avoided + lazy_materialized));
 
   // Timing: the real import path per run, steady state (no solver in the
   // loop — the warm-cache limit), on the same wide-fanout provider.
@@ -452,8 +442,8 @@ int StateHeadToHead(uint64_t runs, uint64_t seed, size_t prefixes, size_t entrie
       .Add("runs_per_sec_eager", runs_per_sec(replay_eager))
       .Add("bytes_copied_per_run", bytes_per_run(replay_lazy))
       .Add("bytes_copied_per_run_eager", bytes_per_run(replay_eager))
-      .Add("clones_avoided", lazy.clones_avoided + replay_lazy.clones_avoided)
-      .Add("clones_materialized", lazy.clones_materialized);
+      .Add("clones_avoided", lazy_avoided + replay_lazy.clones_avoided)
+      .Add("clones_materialized", lazy_materialized);
   if (!identical || !replay_identical) {
     std::printf("\nFAIL: lazy clones changed exploration results\n");
     return 1;
@@ -587,15 +577,16 @@ int FanoutHeadToHead(size_t domains, size_t batch_size, uint64_t input_count, ui
 
 void AddHeadToHeadRows(Table& table, const char* workload, const HeadToHeadSide& base,
                        const HeadToHeadSide& fast) {
+  // The last repetition's numbers.
   auto row = [&](const char* config, const HeadToHeadSide& s) {
+    const ExplorationReport& r = s.reps.back();
     table.AddRow({workload, config, StrFormat("%.4f", s.seconds),
-                  StrFormat("%llu", static_cast<unsigned long long>(s.concolic.runs)),
-                  StrFormat("%llu", static_cast<unsigned long long>(s.concolic.unique_paths)),
-                  StrFormat("%llu", static_cast<unsigned long long>(s.concolic.branches_covered)),
-                  StrFormat("%zu", s.detections),
-                  StrFormat("%llu", static_cast<unsigned long long>(s.concolic.solver_cache_hits)),
-                  StrFormat("%llu",
-                            static_cast<unsigned long long>(s.concolic.solver_atoms_sliced))});
+                  StrFormat("%llu", static_cast<unsigned long long>(r.concolic.runs)),
+                  StrFormat("%llu", static_cast<unsigned long long>(r.concolic.unique_paths)),
+                  StrFormat("%llu", static_cast<unsigned long long>(r.concolic.branches_covered)),
+                  StrFormat("%zu", r.detections.size()),
+                  StrFormat("%llu", static_cast<unsigned long long>(r.solver.cache_hits)),
+                  StrFormat("%llu", static_cast<unsigned long long>(r.solver.atoms_sliced))});
   };
   row("baseline (pre-opt solver)", base);
   row("slicing+cache", fast);
@@ -617,8 +608,8 @@ int HeadToHead(uint64_t runs, uint64_t seed, size_t prefixes, size_t entries, ui
   AddHeadToHeadRows(table, "real import path", real_base, real_fast);
   table.Print();
 
-  bool synth_ok = SidesIdentical(synth_base, synth_fast);
-  bool real_ok = SidesIdentical(real_base, real_fast);
+  bool synth_ok = SameExplorations(synth_base.reps, synth_fast.reps);
+  bool real_ok = SameExplorations(real_base.reps, real_fast.reps);
   double synth_speedup = synth_base.seconds / std::max(synth_fast.seconds, 1e-9);
   double real_speedup = real_base.seconds / std::max(real_fast.seconds, 1e-9);
   std::printf("\nsynthetic: %.2fx speedup, results %s\n", synth_speedup,
@@ -633,14 +624,14 @@ int HeadToHead(uint64_t runs, uint64_t seed, size_t prefixes, size_t entries, ui
       .Add("synthetic_fast_seconds", synth_fast.seconds)
       .Add("synthetic_speedup", synth_speedup)
       .Add("synthetic_identical", synth_ok)
-      .Add("synthetic_cache_hits", synth_fast.concolic.solver_cache_hits)
-      .Add("synthetic_atoms_sliced", synth_fast.concolic.solver_atoms_sliced)
+      .Add("synthetic_cache_hits", synth_fast.reps.back().solver.cache_hits)
+      .Add("synthetic_atoms_sliced", synth_fast.reps.back().solver.atoms_sliced)
       .Add("real_baseline_seconds", real_base.seconds)
       .Add("real_fast_seconds", real_fast.seconds)
       .Add("real_speedup", real_speedup)
       .Add("real_identical", real_ok)
-      .Add("real_cache_hits", real_fast.concolic.solver_cache_hits)
-      .Add("real_atoms_sliced", real_fast.concolic.solver_atoms_sliced);
+      .Add("real_cache_hits", real_fast.reps.back().solver.cache_hits)
+      .Add("real_atoms_sliced", real_fast.reps.back().solver.atoms_sliced);
   if (!synth_ok || !real_ok) {
     std::printf("\nFAIL: optimized solver changed exploration results\n");
     return 1;
@@ -662,6 +653,7 @@ int HeadToHead(uint64_t runs, uint64_t seed, size_t prefixes, size_t entries, ui
 struct RestartSide {
   double seconds = 0;
   sym::ConcolicStats concolic;
+  sym::SolverStats solver;
   std::vector<std::string> detections;
 };
 
@@ -676,6 +668,7 @@ RestartSide RunRestartSide(Explorer& explorer, const bgp::RouterState& state,
   }
   side.seconds = timer.Seconds();
   side.concolic = explorer.report().concolic;
+  side.solver = explorer.report().solver;
   for (const Detection& d : explorer.report().detections) {
     side.detections.push_back(d.ToString());
   }
@@ -722,11 +715,12 @@ int WarmRestartHeadToHead(uint64_t runs, uint64_t seed, size_t prefixes, size_t 
       RunRestartSide(warm_explorer, state, peers, fig2.loop().now(), seed_update);
 
   const sym::ConcolicStats& wc = warm.concolic;
-  const uint64_t warm_queries = wc.solver_cache_hits + wc.solver_cache_misses;
+  const sym::SolverStats& ws = warm.solver;
+  const uint64_t warm_queries = ws.cache_hits + ws.cache_misses;
   const double hit_rate =
       warm_queries == 0
           ? 0.0
-          : static_cast<double>(wc.solver_cache_preloaded_hits) / static_cast<double>(warm_queries);
+          : static_cast<double>(ws.cache_preloaded_hits) / static_cast<double>(warm_queries);
   bool identical = loaded.ok() && cold.concolic.runs == wc.runs &&
                    cold.concolic.unique_paths == wc.unique_paths &&
                    cold.concolic.branches_covered == wc.branches_covered &&
@@ -745,7 +739,7 @@ int WarmRestartHeadToHead(uint64_t runs, uint64_t seed, size_t prefixes, size_t 
       {"warm", StrFormat("%.4f", warm.seconds),
        StrFormat("%llu", static_cast<unsigned long long>(wc.runs)),
        StrFormat("%.0f", runs_per_sec(warm)), StrFormat("%zu", warm.detections.size()),
-       StrFormat("%llu", static_cast<unsigned long long>(wc.solver_cache_preloaded_hits)),
+       StrFormat("%llu", static_cast<unsigned long long>(ws.cache_preloaded_hits)),
        StrFormat("%.0f%%", hit_rate * 100.0), identical ? "yes" : "DIVERGED"});
   table.Print();
   std::printf("warm restart: %.0f%% of solver queries served from the reloaded snapshot "
@@ -756,7 +750,7 @@ int WarmRestartHeadToHead(uint64_t runs, uint64_t seed, size_t prefixes, size_t 
       .Add("f1g_snapshot_bytes", static_cast<uint64_t>(snapshot.size()))
       .Add("warm_cache_hit_rate", hit_rate)
       .Add("runs_per_sec", runs_per_sec(warm))
-      .Add("f1g_preloaded_hits", wc.solver_cache_preloaded_hits)
+      .Add("f1g_preloaded_hits", ws.cache_preloaded_hits)
       .Add("f1g_identical", identical);
   if (!identical) {
     std::printf("\nFAIL: warm restart changed exploration results\n");
@@ -778,7 +772,7 @@ int Run(int argc, char** argv) {
   const size_t prefixes = flags.GetUint("prefixes", 5000);
   const size_t entries = flags.GetUint("entries", 12);
   const uint64_t branches = flags.GetUint("branches", 16);
-  const uint64_t hh_reps = flags.GetUint("hh_reps", 5);
+  const uint64_t hh_reps = std::max<uint64_t>(flags.GetUint("hh_reps", 5), 1);
   const size_t fanout = flags.GetUint("fanout", 256);
   const uint64_t replay_count = flags.GetUint("replay_runs", 3000);
   const size_t remote_domains = flags.GetUint("remote_domains", 8);

@@ -67,10 +67,11 @@ int main() {
               static_cast<unsigned long long>(stats.runs),
               static_cast<unsigned long long>(stats.unique_paths),
               static_cast<unsigned long long>(stats.branches_covered));
+  const SolverStats& solver = driver.solver_stats();
   std::printf("       solver: %llu SAT, %llu UNSAT (infeasible flips proven), %llu unknown\n",
-              static_cast<unsigned long long>(stats.solver_sat),
-              static_cast<unsigned long long>(stats.solver_unsat),
-              static_cast<unsigned long long>(stats.solver_unknown));
+              static_cast<unsigned long long>(solver.sat),
+              static_cast<unsigned long long>(solver.unsat),
+              static_cast<unsigned long long>(solver.unknown));
   std::printf("\nnote how run after run flips exactly one predicate (Fig. 1), and how\n"
               "the 0xfeedface needle is reached by solving, not by luck.\n");
   return 0;

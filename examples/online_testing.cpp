@@ -3,8 +3,9 @@
 //
 // The provider processes a live update stream; every 60 simulated seconds
 // DiCE takes a fresh checkpoint of the current state and explores the most
-// recently observed customer input, using idle time between arrivals. Faults
-// are reported as they are found, with the live system never perturbed.
+// recently observed customer input, using idle time between arrivals. Each
+// cycle reports what its own exploration found, with the live system never
+// perturbed.
 //
 // Build & run:  ./build/examples/online_testing [--minutes=M]
 
@@ -57,11 +58,13 @@ int main(int argc, char** argv) {
   trace::ScheduleTrace(&fig2.loop(), &fig2.feed(), window, start);
 
   ExplorerOptions explorer_options;
-  explorer_options.concolic.max_runs = 5000;  // across the whole session
+  // Per exploration; each cycle's exploration exhausts its frontier long
+  // before this.
+  explorer_options.concolic.max_runs = 5000;
   Explorer explorer(explorer_options);
   explorer.AddChecker(std::make_unique<HijackChecker>());
 
-  size_t reported = 0;
+  size_t faults = 0;
   uint64_t checkpoints = 0;
   uint64_t updates_at_last_minute = 0;
   for (uint64_t cycle = 0; cycle < minutes; ++cycle) {
@@ -83,23 +86,24 @@ int main(int argc, char** argv) {
       explorer.Step();
     }
 
-    // Report any new findings at the end of the cycle.
-    const auto& detections = explorer.report().detections;
-    for (; reported < detections.size(); ++reported) {
+    // Report this cycle's findings: its exploration's report.
+    const ExplorationReport& report = explorer.report();
+    for (const Detection& d : report.detections) {
       std::printf("[t=%3llus] FAULT %s\n",
                   static_cast<unsigned long long>((fig2.loop().now() - start) / net::kSecond),
-                  detections[reported].ToString().c_str());
+                  d.ToString().c_str());
     }
+    faults += report.detections.size();
     uint64_t handled = fig2.provider().updates_received();
     std::printf("[t=%3llus] status: %llu live updates handled, %s\n",
                 static_cast<unsigned long long>((fig2.loop().now() - start) / net::kSecond),
                 static_cast<unsigned long long>(handled - updates_at_last_minute),
-                explorer.report().Summary().c_str());
+                report.Summary().c_str());
     updates_at_last_minute = handled;
   }
 
   std::printf("\nsession over: %llu checkpoints, %zu faults found, live RIB intact (%zu prefixes)\n",
-              static_cast<unsigned long long>(checkpoints),
-              explorer.report().detections.size(), fig2.provider().rib().PrefixCount());
+              static_cast<unsigned long long>(checkpoints), faults,
+              fig2.provider().rib().PrefixCount());
   return 0;
 }

@@ -102,6 +102,6 @@ int main(int argc, char** argv) {
     std::printf("  %s\n", r.c_str());
   }
   std::printf("\nexploration stayed isolated: %llu clone messages intercepted, 0 sent\n",
-              static_cast<unsigned long long>(report.intercepted_messages));
+              static_cast<unsigned long long>(report.intercepted.size()));
   return youtube_found ? 0 : 2;
 }

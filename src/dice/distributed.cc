@@ -24,7 +24,6 @@ void DistributedExplorer::TakeCheckpoint(const bgp::Router& router, net::SimTime
 
 void DistributedExplorer::TakeCheckpoint(const bgp::RouterState& state,
                                          std::vector<bgp::PeerView> peers, net::SimTime now) {
-  checkpoint_time_ = now;
   local_.TakeCheckpoint(state, std::move(peers), now);
   for (size_t i = 0; i < remotes_.size(); ++i) {
     remote_epochs_[i] = remotes_[i]->TakeCheckpoint(now);

@@ -42,8 +42,8 @@ struct SystemWideDetection {
   uint64_t total_spread = 0;                  // sum of remote would_propagate counts
 };
 
-// What crossing the federation boundary cost, summed over all remote
-// services since the last ExploreSeed.
+// What crossing the federation boundary cost in the last ConfirmRemotely,
+// summed over all remote services.
 struct RemoteBatchStats {
   uint64_t batches_sent = 0;      // ExecuteBatch calls issued
   uint64_t updates_sent = 0;      // exploratory updates shipped in those batches
@@ -75,7 +75,7 @@ class DistributedExplorer {
   void TakeCheckpoint(const bgp::RouterState& state, std::vector<bgp::PeerView> peers,
                       net::SimTime now);
 
-  // Runs the full exploration; batches every local detection's triggering
+  // Runs the full exploration; batches each of its detections' triggering
   // input to each remote domain to judge system-wide impact.
   size_t ExploreSeed(const bgp::UpdateMessage& seed, bgp::PeerId from);
 
@@ -84,9 +84,10 @@ class DistributedExplorer {
   // at run boundaries — then call ConfirmRemotely() themselves.
   Explorer& local() { return local_; }
 
-  // The remote-confirmation half of ExploreSeed: batches every local
-  // detection's triggering input to each registered remote domain and
-  // rebuilds system_wide()/remote_stats(). Idempotent per exploration.
+  // The remote-confirmation half of ExploreSeed: batches the triggering input
+  // of each detection in local_report() — the current exploration's only —
+  // to each registered remote domain and rebuilds system_wide() and
+  // remote_stats(). Idempotent per exploration.
   void ConfirmRemotely();
 
   const ExplorationReport& local_report() const { return local_.report(); }
@@ -103,7 +104,6 @@ class DistributedExplorer {
   std::vector<SystemWideDetection> system_wide_;
   RemoteBatchStats remote_stats_;
   size_t remote_batch_size_ = 0;
-  net::SimTime checkpoint_time_ = 0;
 };
 
 }  // namespace dice

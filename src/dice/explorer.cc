@@ -15,18 +15,18 @@ std::string ExplorationReport::Summary() const {
       static_cast<unsigned long long>(concolic.branches_covered),
       static_cast<unsigned long long>(runs_accepted),
       static_cast<unsigned long long>(runs_rejected),
-      static_cast<unsigned long long>(intercepted_messages),
+      static_cast<unsigned long long>(intercepted.size()),
       static_cast<unsigned long long>(clones_made), detections.size());
   out += StrFormat(" clones_avoided=%llu clones_materialized=%llu",
                    static_cast<unsigned long long>(clones_avoided),
                    static_cast<unsigned long long>(clones_materialized));
   out += StrFormat(" cache_hits=%llu cache_misses=%llu sliced_atoms=%llu",
-                   static_cast<unsigned long long>(concolic.solver_cache_hits),
-                   static_cast<unsigned long long>(concolic.solver_cache_misses),
-                   static_cast<unsigned long long>(concolic.solver_atoms_sliced));
-  if (concolic.solver_cache_preloaded_hits > 0) {
+                   static_cast<unsigned long long>(solver.cache_hits),
+                   static_cast<unsigned long long>(solver.cache_misses),
+                   static_cast<unsigned long long>(solver.atoms_sliced));
+  if (solver.cache_preloaded_hits > 0) {
     out += StrFormat(" preloaded_hits=%llu",
-                     static_cast<unsigned long long>(concolic.solver_cache_preloaded_hits));
+                     static_cast<unsigned long long>(solver.cache_preloaded_hits));
   }
   if (first_detection_run.has_value()) {
     out += StrFormat(" first_detection_run=%llu",
@@ -37,25 +37,6 @@ std::string ExplorationReport::Summary() const {
 
 Explorer::Explorer(ExplorerOptions options)
     : options_(std::move(options)), solver_(options_.concolic.solver) {}
-
-namespace {
-
-// Per-exploration view of the long-lived solver's counters.
-sym::SolverStats SubtractStats(const sym::SolverStats& now, const sym::SolverStats& base) {
-  sym::SolverStats d;
-  d.queries = now.queries - base.queries;
-  d.sat = now.sat - base.sat;
-  d.unsat = now.unsat - base.unsat;
-  d.unknown = now.unknown - base.unknown;
-  d.atoms_sliced = now.atoms_sliced - base.atoms_sliced;
-  d.cache_hits = now.cache_hits - base.cache_hits;
-  d.cache_misses = now.cache_misses - base.cache_misses;
-  d.cache_unsat_shortcuts = now.cache_unsat_shortcuts - base.cache_unsat_shortcuts;
-  d.cache_preloaded_hits = now.cache_preloaded_hits - base.cache_preloaded_hits;
-  return d;
-}
-
-}  // namespace
 
 void Explorer::AddChecker(std::unique_ptr<Checker> checker) {
   checkers_.push_back(std::move(checker));
@@ -81,7 +62,7 @@ sym::Program Explorer::MakeProgram(bgp::UpdateMessage seed, bgp::PeerId from) {
     if (!options_.lazy_clones) {
       handle.Mutable();  // eager baseline: pay the copy up front, as before
     }
-    ++report_.clones_made;
+    const uint64_t run_index = report_.clones_made++;  // one clone per run
 
     const checkpoint::Checkpoint& cp = checkpoints_.current();
     const bgp::PeerView* from_view = nullptr;
@@ -97,14 +78,12 @@ sym::Program Explorer::MakeProgram(bgp::UpdateMessage seed, bgp::PeerId from) {
       from_view = &fallback;
     }
 
-    size_t intercepted_before = intercepted_.size();
     bgp::UpdateSink sink = [this](bgp::PeerId to, const bgp::UpdateMessage& update) {
-      intercepted_.push_back(InterceptedMessage{to, update});
+      report_.intercepted.push_back(InterceptedMessage{to, update});
     };
 
     ExplorationOutcome outcome = ExploreUpdateOnClone(engine, handle, cp.peers, *from_view, seed,
                                                       options_.spec, sink);
-    report_.intercepted_messages += intercepted_.size() - intercepted_before;
     if (outcome.installed) {
       ++report_.runs_accepted;
     } else {
@@ -138,7 +117,7 @@ sym::Program Explorer::MakeProgram(bgp::UpdateMessage seed, bgp::PeerId from) {
     }
 
     RunInfo info;
-    info.run_index = run_counter_;
+    info.run_index = run_index;
     info.outcome = &outcome;
     info.clone_after = &handle.read();
     info.from = from_view;
@@ -148,18 +127,17 @@ sym::Program Explorer::MakeProgram(bgp::UpdateMessage seed, bgp::PeerId from) {
       checker->OnRun(info, &report_.detections);
     }
     if (report_.detections.size() > before && !report_.first_detection_run.has_value()) {
-      report_.first_detection_run = run_counter_;
+      report_.first_detection_run = run_index;
     }
-    ++run_counter_;
   };
 }
 
 void Explorer::StartExploration(const bgp::UpdateMessage& seed, bgp::PeerId from) {
-  solver_stats_base_ = solver_.stats();
+  report_ = ExplorationReport{};
   driver_ = std::make_unique<sym::ConcolicDriver>(options_.concolic, &solver_);
   driver_->StartIncremental(MakeProgram(seed, from));
   report_.concolic = driver_->stats();
-  report_.solver = SubtractStats(driver_->solver_stats(), solver_stats_base_);
+  report_.solver = driver_->solver_stats();
 }
 
 bool Explorer::Step() {
@@ -168,7 +146,7 @@ bool Explorer::Step() {
   }
   bool more = driver_->StepIncremental();
   report_.concolic = driver_->stats();
-  report_.solver = SubtractStats(driver_->solver_stats(), solver_stats_base_);
+  report_.solver = driver_->solver_stats();
   return more;
 }
 

@@ -58,14 +58,22 @@ struct CloneMemoryStats {
   }
 };
 
+// A message an exploration clone attempted to send (never delivered to the
+// live network).
+struct InterceptedMessage {
+  bgp::PeerId to = 0;
+  bgp::UpdateMessage update;
+};
+
+// One seed exploration: StartExploration starts a fresh report, so every
+// count, detection and run index in it covers that exploration alone.
 struct ExplorationReport {
   sym::ConcolicStats concolic;
-  sym::SolverStats solver;  // this exploration only (the Explorer's solver
-                            // is long-lived; lifetime totals are subtracted)
+  sym::SolverStats solver;
   std::vector<Detection> detections;
+  std::vector<InterceptedMessage> intercepted;  // in send order
   uint64_t runs_accepted = 0;   // exploratory inputs that passed the import policy
   uint64_t runs_rejected = 0;
-  uint64_t intercepted_messages = 0;
   uint64_t clones_made = 0;          // logical clones (one per run)
   uint64_t clones_materialized = 0;  // runs whose state was actually copied
   uint64_t clones_avoided = 0;       // zero-copy runs (read the checkpoint only)
@@ -106,13 +114,7 @@ class Explorer {
   // persistence layer (src/persist) snapshots and reloads across restarts.
   sym::QueryCache* query_cache() { return &solver_.cache(); }
 
-  // Messages exploration clones attempted to send, in order (never delivered
-  // to the live network).
-  struct InterceptedMessage {
-    bgp::PeerId to = 0;
-    bgp::UpdateMessage update;
-  };
-  const std::vector<InterceptedMessage>& intercepted() const { return intercepted_; }
+  const std::vector<InterceptedMessage>& intercepted() const { return report_.intercepted; }
 
  private:
   sym::Program MakeProgram(bgp::UpdateMessage seed, bgp::PeerId from);
@@ -124,13 +126,8 @@ class Explorer {
   // persists across seed explorations, which re-pose mostly identical
   // queries against the same router state.
   sym::Solver solver_;
-  // Solver counter values at StartExploration, so report_.solver covers only
-  // the current exploration.
-  sym::SolverStats solver_stats_base_;
   std::unique_ptr<sym::ConcolicDriver> driver_;
   ExplorationReport report_;
-  std::vector<InterceptedMessage> intercepted_;
-  uint64_t run_counter_ = 0;
 };
 
 }  // namespace dice

@@ -21,8 +21,6 @@ void ConcolicDriver::RunOnce(const Assignment& assignment, size_t bound) {
   uint64_t hash = HashDecisions(path);
   if (seen_paths_.insert(hash).second) {
     ++stats_.unique_paths;
-  } else {
-    ++stats_.duplicate_paths;
   }
   for (const BranchRecord& b : path) {
     covered_.insert({b.site, b.taken});
@@ -36,22 +34,11 @@ void ConcolicDriver::RunOnce(const Assignment& assignment, size_t bound) {
   }
 }
 
-void ConcolicDriver::MirrorSolverCounters() {
-  stats_.solver_cache_hits = solver_->stats().cache_hits - solver_cache_hits_base_;
-  stats_.solver_cache_misses = solver_->stats().cache_misses - solver_cache_misses_base_;
-  stats_.solver_cache_preloaded_hits =
-      solver_->stats().cache_preloaded_hits - solver_cache_preloaded_hits_base_;
-  stats_.solver_atoms_sliced = solver_->stats().atoms_sliced - solver_atoms_sliced_base_;
-}
-
 void ConcolicDriver::StartIncremental(const Program& program, RunObserver on_run) {
   program_ = program;
   on_run_ = std::move(on_run);
   incremental_active_ = true;
-  solver_cache_hits_base_ = solver_->stats().cache_hits;
-  solver_cache_misses_base_ = solver_->stats().cache_misses;
-  solver_cache_preloaded_hits_base_ = solver_->stats().cache_preloaded_hits;
-  solver_atoms_sliced_base_ = solver_->stats().atoms_sliced;
+  solver_->ResetStats();
   // Seed run on the originally observed input (empty assignment = seeds).
   RunOnce(Assignment{}, /*bound=*/0);
 }
@@ -69,20 +56,11 @@ bool ConcolicDriver::StepIncremental() {
     candidate->AppendConstraints(constraints_scratch_);
     SolveResult solved =
         solver_->Solve(constraints_scratch_, engine_.vars(), *candidate->parent_assignment);
-    MirrorSolverCounters();
-    switch (solved.kind) {
-      case SolveKind::kSat: {
-        ++stats_.solver_sat;
-        RunOnce(solved.model, candidate->bound);
-        return true;
-      }
-      case SolveKind::kUnsat:
-        ++stats_.solver_unsat;
-        continue;  // infeasible flip: try the next candidate
-      case SolveKind::kUnknown:
-        ++stats_.solver_unknown;
-        continue;
+    if (solved.kind == SolveKind::kSat) {
+      RunOnce(solved.model, candidate->bound);
+      return true;
     }
+    // An infeasible (or undecided) flip: try the next candidate.
   }
   incremental_active_ = false;
   return false;  // frontier exhausted

@@ -35,21 +35,13 @@ struct ConcolicOptions {
   SolverOptions solver;
 };
 
+// What only the driver knows about one exploration; the solver's side of it
+// is solver_stats().
 struct ConcolicStats {
   uint64_t runs = 0;
   uint64_t unique_paths = 0;
-  uint64_t duplicate_paths = 0;
-  uint64_t solver_sat = 0;
-  uint64_t solver_unsat = 0;
-  uint64_t solver_unknown = 0;
   uint64_t branches_covered = 0;  // distinct (site, outcome) pairs
   uint64_t max_path_depth = 0;
-  // Solver fast-path counters, mirrored from SolverStats after each solve so
-  // reports built from ConcolicStats can surface them directly.
-  uint64_t solver_cache_hits = 0;
-  uint64_t solver_cache_misses = 0;
-  uint64_t solver_cache_preloaded_hits = 0;  // hits served from a loaded snapshot
-  uint64_t solver_atoms_sliced = 0;
 };
 
 // The record -> negate -> solve -> re-execute driver. It runs on one thread:
@@ -78,12 +70,13 @@ class ConcolicDriver {
   bool incremental_active() const { return incremental_active_; }
 
   const ConcolicStats& stats() const { return stats_; }
+  // This exploration's solver counters: StartIncremental resets them, on an
+  // owned and a shared solver alike.
   const SolverStats& solver_stats() const { return solver_->stats(); }
   Engine& engine() { return engine_; }
 
  private:
   void RunOnce(const Assignment& assignment, size_t bound);
-  void MirrorSolverCounters();
 
   ConcolicOptions options_;
   Engine engine_;
@@ -99,13 +92,6 @@ class ConcolicDriver {
   bool incremental_active_ = false;
   // Reused per-candidate constraint buffer (prefix + flipped predicate).
   std::vector<ExprPtr> constraints_scratch_;
-  // Solver counter values at StartIncremental: with a shared solver they are
-  // lifetime totals, and the mirrored ConcolicStats must cover only this
-  // exploration.
-  uint64_t solver_cache_hits_base_ = 0;
-  uint64_t solver_cache_misses_base_ = 0;
-  uint64_t solver_cache_preloaded_hits_base_ = 0;
-  uint64_t solver_atoms_sliced_base_ = 0;
 };
 
 }  // namespace dice::sym

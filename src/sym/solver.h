@@ -219,7 +219,12 @@ class Solver {
   SolveResult Solve(const std::vector<ExprPtr>& constraints, const std::vector<VarInfo>& vars,
                     const Assignment& hint);
 
+  // Counters since the last ResetStats(). ConcolicDriver::StartIncremental
+  // calls it, so a solver shared by many drivers counts one exploration at a
+  // time, exactly like a driver's private one. The query cache is not reset:
+  // its warmth outlives explorations by design.
   const SolverStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = SolverStats{}; }
 
   // The cross-run cache (src/persist snapshots and reloads it).
   QueryCache& cache() { return cache_; }

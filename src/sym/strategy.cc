@@ -79,9 +79,12 @@ uint64_t HashDecisionsWithFlip(const Path& path, size_t flip_index) {
 // --- GenerationalStrategy ---------------------------------------------------
 
 void GenerationalStrategy::AddPath(const Path& path, const Assignment& assignment, size_t bound) {
-  // The classic generational bound prevents re-deriving flips the parent
-  // already offered; our flip-hash dedupe subsumes that, so offering every
-  // index keeps the frontier rich without duplicates.
+  // No strategy applies the generational bound: every index whose flip hash
+  // is new gets offered. attempted_ holds flip hashes only, not the decision
+  // prefixes of executed paths, so a child may flip back the branch whose
+  // flip created it, re-derive its parent's input and re-run a known path
+  // (concolic_demo: 11 runs for 6 unique paths). A known waste, recorded as
+  // a FOUND line on this file in CHANGES.md.
   (void)bound;
   for (const BranchRecord& b : path) {
     if (covered_.insert({b.site, b.taken}).second) {
@@ -133,7 +136,7 @@ std::optional<NegationCandidate> GenerationalStrategy::Next() {
 // --- DfsStrategy -------------------------------------------------------------
 
 void DfsStrategy::AddPath(const Path& path, const Assignment& assignment, size_t bound) {
-  (void)bound;  // flip-hash dedupe subsumes the generational bound
+  (void)bound;  // unapplied, see GenerationalStrategy::AddPath
   // Push shallow-to-deep so the deepest pops first.
   SharedParent parent(path, assignment);
   ForEachNewFlip(path, attempted_,
@@ -152,7 +155,7 @@ std::optional<NegationCandidate> DfsStrategy::Next() {
 // --- BfsStrategy -------------------------------------------------------------
 
 void BfsStrategy::AddPath(const Path& path, const Assignment& assignment, size_t bound) {
-  (void)bound;  // flip-hash dedupe subsumes the generational bound
+  (void)bound;  // unapplied, see GenerationalStrategy::AddPath
   SharedParent parent(path, assignment);
   ForEachNewFlip(path, attempted_,
                  [&](size_t i) { queue_.push_back(parent.Candidate(i)); });
@@ -170,7 +173,7 @@ std::optional<NegationCandidate> BfsStrategy::Next() {
 // --- RandomStrategy ----------------------------------------------------------
 
 void RandomStrategy::AddPath(const Path& path, const Assignment& assignment, size_t bound) {
-  (void)bound;  // flip-hash dedupe subsumes the generational bound
+  (void)bound;  // unapplied, see GenerationalStrategy::AddPath
   SharedParent parent(path, assignment);
   ForEachNewFlip(path, attempted_,
                  [&](size_t i) { pool_.push_back(parent.Candidate(i)); });

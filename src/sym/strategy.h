@@ -35,8 +35,9 @@ struct NegationCandidate {
   std::shared_ptr<const Path> path;                  // the parent run's path
   std::shared_ptr<const Assignment> parent_assignment;  // hint for the solver
   size_t depth = 0;                  // index of the negation point
-  // Children of the resulting run may only negate at indices > `bound`
-  // (generational search bound; prevents re-deriving the same flips).
+  // The generational search bound its children inherit (negate only at
+  // indices >= `bound`). No strategy applies it yet; see
+  // GenerationalStrategy::AddPath.
   size_t bound = 0;
 
   const BranchRecord& negated() const { return (*path)[depth]; }
@@ -81,9 +82,9 @@ class SearchStrategy {
   virtual size_t FrontierSize() const = 0;
 };
 
-// SAGE-style generational search: every branch after the parent's bound
-// produces a child candidate; candidates that would cover a (site, outcome)
-// pair not yet seen are dequeued first.
+// SAGE-style generational search: every branch with a new flip hash produces
+// a child candidate (the parent's bound is not applied); candidates that
+// would cover a (site, outcome) pair not yet seen are dequeued first.
 //
 // The frontier is indexed so Next() is O(log n): candidates are keyed by
 // insertion order, and a side index tracks which still target an uncovered

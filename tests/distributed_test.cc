@@ -374,6 +374,52 @@ TEST_F(DistributedFixture, SystemWideConfirmationOfLocalLeak) {
   EXPECT_EQ(upstream_router_->rib().BestRoute(P("10.1.7.0/24")), nullptr);
 }
 
+// The paper's §2.4: remote domains confirm what the local exploration found.
+// A long-lived explorer's second seed ships only that seed's detections, each
+// to each domain once, and yields what a fresh explorer of that seed alone
+// yields.
+TEST_F(DistributedFixture, ConfirmationCoversOnlyTheCurrentSeed) {
+  ProviderSetup provider = MakeProvider("192.0.2.0/24");
+  auto make_explorer = [&] {
+    ExplorerOptions options;
+    options.concolic.max_runs = 200;
+    auto dice = std::make_unique<DistributedExplorer>(options);
+    dice->AddChecker(std::make_unique<HijackChecker>());
+    dice->AddRemoteService(MakeUpstreamService());
+    dice->TakeCheckpoint(provider.state, {provider.customer_view}, 0);
+    return dice;
+  };
+  auto render = [](const std::vector<SystemWideDetection>& system_wide) {
+    std::vector<std::string> out;
+    for (const SystemWideDetection& sw : system_wide) {
+      std::string line = sw.local.ToString() + " input " + sw.local.input.ToString() + " spread " +
+                         std::to_string(sw.total_spread);
+      for (const std::string& domain : sw.adopting_domains) {
+        line += " " + domain;
+      }
+      out.push_back(line);
+    }
+    return out;
+  };
+  const bgp::UpdateMessage second = Announce("203.0.113.0/24", {1, 64501});
+
+  auto long_lived = make_explorer();
+  long_lived->ExploreSeed(Announce("10.1.7.0/24", {1, 100}), 1);
+  ASSERT_FALSE(long_lived->local_report().detections.empty());
+  long_lived->ExploreSeed(second, 1);
+  const ExplorationReport& report = long_lived->local_report();
+  ASSERT_FALSE(report.detections.empty());
+  const RemoteBatchStats& stats = long_lived->remote_stats();
+  EXPECT_EQ(stats.updates_sent, report.detections.size() * long_lived->remote_count());
+  EXPECT_EQ(stats.batches_sent, long_lived->remote_count());
+
+  auto fresh = make_explorer();
+  fresh->ExploreSeed(second, 1);
+  EXPECT_EQ(stats.updates_sent, fresh->remote_stats().updates_sent);
+  EXPECT_FALSE(fresh->system_wide().empty());
+  EXPECT_EQ(render(long_lived->system_wide()), render(fresh->system_wide()));
+}
+
 TEST_F(DistributedFixture, GuardedRemoteNotListedAsAdopting) {
   // The victim here is the prefix the upstream *filters*.
   ProviderSetup provider = MakeProvider("198.51.100.0/24");

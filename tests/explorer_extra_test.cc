@@ -142,7 +142,9 @@ TEST(ExplorerFreshnessTest, NewCheckpointSeesNewState) {
       << "post-checkpoint exploration must see the newly learned victim";
 }
 
-TEST(ExplorerFreshnessTest, ReportAccumulatesAcrossSeeds) {
+// Each ExploreSeed starts a fresh report: after a second seed, every per-run
+// count and run index describes that seed's runs alone.
+TEST(ExplorerFreshnessTest, ReportDescribesOneSeed) {
   ExplorerOptions options;
   options.concolic.max_runs = 50;
   Explorer explorer(options);
@@ -151,9 +153,13 @@ TEST(ExplorerFreshnessTest, ReportAccumulatesAcrossSeeds) {
   explorer.TakeCheckpoint(state, {CustomerView()}, 0);
 
   explorer.ExploreSeed(Seed(), 1);
-  uint64_t clones_after_first = explorer.report().clones_made;
   explorer.ExploreSeed(Seed(), 1);
-  EXPECT_GT(explorer.report().clones_made, clones_after_first);
+  const ExplorationReport& report = explorer.report();
+  EXPECT_EQ(report.clones_made, report.concolic.runs);
+  EXPECT_EQ(report.runs_accepted + report.runs_rejected, report.concolic.runs);
+  for (const Detection& d : report.detections) {
+    EXPECT_LT(d.run_index, report.concolic.runs);
+  }
 }
 
 // --- HijackChecker: locally originated victim ---------------------------------
