@@ -2,17 +2,20 @@
 //
 // The same generated corpus (~100k-route full dump plus an update stream) is
 // serialized to the text format and to the binary .dtrc format, parsed back,
-// and replayed through the exploration pipeline from all three sources —
-// in-memory, text round-trip, binary round-trip. The bench reports ingest
-// throughput (events/s and MB/s per format) and the size ratio, and gates on
-// two identities: the parsed traces must be event-for-event equal, and the
-// three replays must produce byte-identical detections digests. Any
-// divergence exits non-zero, so CI catches a lossy format change the same
-// way it catches a diverging solver fast path.
+// and replayed through the exploration pipeline from four sources —
+// in-memory, text round-trip, binary round-trip, and the binary file streamed
+// event by event into the RIB (trace::StreamTrace, the path dice_cli
+// --trace takes). The bench reports ingest throughput (events/s and MB/s per
+// format) and the size ratio, and gates on two identities: the parsed traces
+// must be event-for-event equal, and the four replays must produce
+// byte-identical detections digests. Any divergence exits non-zero, so CI
+// catches a lossy format change the same way it catches a diverging solver
+// fast path.
 //
 // Flags: --prefixes=N, --runs=N, --seed=S, --as_count=N.
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,7 +58,19 @@ struct ReplayVerdict {
   double wall_seconds = 0;
 };
 
-ReplayVerdict Replay(const trace::Trace& trace, const bgp::RouterConfig& config,
+using EventVisitor = std::function<void(const trace::TraceEvent&)>;
+// Hands every event of one trace source to the visitor, in order.
+using EventSource = std::function<void(const EventVisitor&)>;
+
+EventSource FromTrace(const trace::Trace& trace) {
+  return [&trace](const EventVisitor& visit) {
+    for (const trace::TraceEvent& ev : trace.events) {
+      visit(ev);
+    }
+  };
+}
+
+ReplayVerdict Replay(const EventSource& source, const bgp::RouterConfig& config,
                      uint64_t runs) {
   Stopwatch timer;
   bgp::RouterState state;
@@ -69,9 +84,9 @@ ReplayVerdict Replay(const trace::Trace& trace, const bgp::RouterConfig& config,
   feed_view.address = feed.address;
   feed_view.established = true;
   bgp::UpdateSink discard = [](bgp::PeerId, const bgp::UpdateMessage&) {};
-  for (const trace::TraceEvent& ev : trace.events) {
+  source([&](const trace::TraceEvent& ev) {
     bgp::ProcessUpdate(state, {feed_view}, feed_view, feed, ev.update, discard);
-  }
+  });
 
   bgp::PeerView customer_view;
   customer_view.id = 200;
@@ -181,20 +196,31 @@ int Run(int argc, char** argv) {
               binary_parse_s > 0 ? text_parse_s / binary_parse_s : 0);
 
   const bgp::RouterConfig config = ReplayConfig();
-  ReplayVerdict memory = Replay(corpus, config, runs);
-  ReplayVerdict via_text = Replay(*from_text, config, runs);
-  ReplayVerdict via_binary = Replay(*from_binary, config, runs);
-  const bool replay_identical = memory.digest == via_text.digest &&
-                                memory.digest == via_binary.digest &&
-                                memory.detections == via_text.detections &&
-                                memory.detections == via_binary.detections;
+  ReplayVerdict memory = Replay(FromTrace(corpus), config, runs);
+  ReplayVerdict via_text = Replay(FromTrace(*from_text), config, runs);
+  ReplayVerdict via_binary = Replay(FromTrace(*from_binary), config, runs);
+  // StreamTrace consumes its bytes, so it gets a copy of the file.
+  Status streamed = Status::Ok();
+  ReplayVerdict via_stream = Replay(
+      [&](const EventVisitor& visit) { streamed = trace::StreamTrace(Bytes(*binary), visit); },
+      config, runs);
+  if (!streamed.ok()) {
+    std::fprintf(stderr, "FAIL: streamed ingest: %s\n", streamed.ToString().c_str());
+    return 1;
+  }
+  bool replay_identical = true;
+  for (const ReplayVerdict* other : {&via_text, &via_binary, &via_stream}) {
+    replay_identical = replay_identical && memory.digest == other->digest &&
+                       memory.detections == other->detections;
+  }
 
-  std::printf("\nreplay verdicts (%llu exploration runs each):\n",
+  std::printf("\nreplay verdicts (%llu exploration runs each; the streamed row's wall time "
+              "includes decode):\n",
               static_cast<unsigned long long>(runs));
   Table verdicts({"source", "RIB prefixes", "detections", "digest", "wall s"});
-  ReplayVerdict* rows[] = {&memory, &via_text, &via_binary};
-  const char* names[] = {"in-memory", "text", "dtrc"};
-  for (size_t i = 0; i < 3; ++i) {
+  ReplayVerdict* rows[] = {&memory, &via_text, &via_binary, &via_stream};
+  const char* names[] = {"in-memory", "text", "dtrc", "dtrc streamed"};
+  for (size_t i = 0; i < 4; ++i) {
     verdicts.AddRow({names[i], StrFormat("%zu", rows[i]->rib_prefixes),
                      StrFormat("%zu", rows[i]->detections),
                      StrFormat("%08x", rows[i]->digest),

@@ -16,6 +16,24 @@ constexpr uint8_t kAtomicAggregate = 0x08;
 constexpr uint8_t kKnownPresenceFlags =
     kHasMed | kHasLocalPref | kHasAggregator | kAtomicAggregate;
 
+// The number of bytes EncodeAttrs appends for `a`, field for field.
+size_t EncodedAttrsSize(const PathAttributes& a) {
+  size_t size = 1 + 4;  // origin, segment count
+  for (const AsSegment& seg : a.as_path.segments()) {
+    size += 1 + 4 + 4 * seg.asns.size();
+  }
+  size += 4 + 1;  // next hop, presence bits
+  size += a.med.has_value() ? 4 : 0;
+  size += a.local_pref.has_value() ? 4 : 0;
+  size += a.aggregator.has_value() ? 4 + 4 : 0;
+  size += 4 + 4 * a.communities.size();
+  size += 4;  // unknown-attribute count
+  for (const UnknownAttribute& u : a.unknown) {
+    size += 1 + 1 + 2 + u.value.size();
+  }
+  return size;
+}
+
 }  // namespace
 
 void EncodeAttrs(ByteWriter& w, const PathAttributes& a) {
@@ -167,6 +185,14 @@ void AttrTable::Serialize(ByteWriter& w) const {
     w.PutU64(HashAttrs(a));
     EncodeAttrs(w, a);
   }
+}
+
+size_t AttrTable::SerializedSize() const {
+  size_t size = 4;  // count
+  for (const InternedAttrs& handle : attrs_) {
+    size += 8 + EncodedAttrsSize(handle.get());  // hash, attrs
+  }
+  return size;
 }
 
 Status LoadAttrTable(ByteReader& r, const char* what, std::vector<InternedAttrs>& out) {

@@ -37,6 +37,8 @@ class AttrTable {
   uint32_t IndexOf(const InternedAttrs& attrs);
   size_t size() const { return attrs_.size(); }
   void Serialize(ByteWriter& w) const;
+  // The number of bytes Serialize appends, so a writer can allocate once.
+  size_t SerializedSize() const;
 
  private:
   std::vector<InternedAttrs> attrs_;

@@ -45,6 +45,9 @@ Bytes EncodeKeepalive();
 // Appends the NLRI encoding of `prefix` (length octet + minimal address bytes).
 void EncodePrefix(ByteWriter& writer, const Prefix& prefix);
 
+// The number of bytes EncodePrefix appends for `prefix`.
+inline size_t EncodedPrefixSize(const Prefix& prefix) { return 1 + (prefix.length() + 7) / 8; }
+
 }  // namespace dice::bgp
 
 #endif  // SRC_BGP_WIRE_H_

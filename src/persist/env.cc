@@ -51,10 +51,21 @@ StatusOr<Bytes> PosixEnv::ReadFile(const std::string& path) {
   if (f.fd < 0) {
     return ErrnoStatus("open", path, errno);
   }
-  Bytes out;
-  uint8_t buf[1 << 16];
+  struct stat st {};
+  if (::fstat(f.fd, &st) != 0) {
+    return ErrnoStatus("fstat", path, errno);
+  }
+  // One allocation of the size fstat reports, then reads on to EOF: a file
+  // that grew since is still read whole (its tail is appended), and one that
+  // shrank is cut to what was read.
+  Bytes out(st.st_size > 0 ? static_cast<size_t>(st.st_size) : 0);
+  size_t filled = 0;
+  uint8_t tail[1 << 12];
   for (;;) {
-    ssize_t n = ::read(f.fd, buf, sizeof(buf));
+    const bool in_place = filled < out.size();
+    uint8_t* dst = in_place ? out.data() + filled : tail;
+    const size_t room = in_place ? out.size() - filled : sizeof(tail);
+    ssize_t n = ::read(f.fd, dst, room);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -64,8 +75,12 @@ StatusOr<Bytes> PosixEnv::ReadFile(const std::string& path) {
     if (n == 0) {
       break;
     }
-    out.insert(out.end(), buf, buf + n);
+    if (!in_place) {
+      out.insert(out.end(), tail, tail + n);
+    }
+    filled += static_cast<size_t>(n);
   }
+  out.resize(filled);
   return out;
 }
 

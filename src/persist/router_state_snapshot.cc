@@ -18,6 +18,7 @@ namespace {
 using ::dice::ByteReader;
 using ::dice::ByteWriter;
 using ::dice::FailedPreconditionError;
+using ::dice::FrameWriter;
 using ::dice::InvalidArgumentError;
 using ::dice::StrFormat;
 using ::dice::bgp::AttrTable;
@@ -35,24 +36,46 @@ constexpr uint32_t kNoBestWire = 0xFFFFFFFFu;
 
 }  // namespace
 
+uint64_t StateFingerprint(std::string_view config_text, const Bytes& table_source,
+                          std::string_view inject_spec) {
+  auto data = [](std::string_view s) { return reinterpret_cast<const uint8_t*>(s.data()); };
+  const uint8_t newline = '\n';
+  uint32_t checksum = dice::BodyChecksum(data(config_text), config_text.size());
+  checksum = dice::ExtendChecksum(checksum, &newline, 1);
+  checksum = dice::ExtendChecksum(checksum, table_source.data(), table_source.size());
+  checksum = dice::ExtendChecksum(checksum, &newline, 1);
+  return dice::ExtendChecksum(checksum, data(inject_spec), inject_spec.size());
+}
+
 Bytes SerializeRouterState(const RouterState& state, uint64_t config_fingerprint) {
   // Pass 1: assign attribute indices over the same deterministic walk the
-  // body serializer makes, so references are first-encounter-ordered.
+  // body serializer makes, so references are first-encounter-ordered, and
+  // size the body so the frame is written in one exact allocation.
   AttrTable table;
-  state.rib.Walk([&](const Prefix&, const RibEntry& entry) {
+  // Sequence counter, prefix count, peer count, six processing counters.
+  size_t tail_size = 8 + 4 + 4 + 6 * 8;
+  state.rib.Walk([&](const Prefix& prefix, const RibEntry& entry) {
+    // Prefix, route count, per route peer + peer AS + attr index + sequence,
+    // best index.
+    tail_size += dice::bgp::EncodedPrefixSize(prefix) + 4 +
+                 entry.routes.size() * (4 + 4 + 4 + 8) + 4;
     for (const Route& route : entry.routes) {
       table.IndexOf(route.attrs);
     }
     return true;
   });
   for (const auto& [peer, trie] : state.adj_out) {
-    trie.Walk([&](const Prefix&, const InternedAttrs& attrs) {
+    tail_size += 4 + 4;  // peer, entry count
+    trie.Walk([&](const Prefix& prefix, const InternedAttrs& attrs) {
+      tail_size += dice::bgp::EncodedPrefixSize(prefix) + 4;
       table.IndexOf(attrs);
       return true;
     });
   }
 
-  ByteWriter body;
+  FrameWriter frame(kRouterStateSnapshotMagic, kRouterStateSnapshotVersion,
+                    8 + table.SerializedSize() + tail_size);
+  ByteWriter& body = frame.body();
   body.PutU64(config_fingerprint);
   table.Serialize(body);
 
@@ -92,7 +115,7 @@ Bytes SerializeRouterState(const RouterState& state, uint64_t config_fingerprint
   body.PutU64(state.routes_filtered);
   body.PutU64(state.routes_loop_rejected);
 
-  return FrameMessage(kRouterStateSnapshotMagic, kRouterStateSnapshotVersion, body.bytes());
+  return frame.Finish();
 }
 
 StatusOr<RouterState> LoadRouterState(const Bytes& bytes,

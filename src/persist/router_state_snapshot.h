@@ -19,6 +19,7 @@
 #define SRC_PERSIST_ROUTER_STATE_SNAPSHOT_H_
 
 #include <memory>
+#include <string_view>
 
 #include "src/bgp/update_processing.h"
 #include "src/util/bytes.h"
@@ -29,6 +30,15 @@ namespace dice::persist {
 // "DXRS".
 constexpr uint32_t kRouterStateSnapshotMagic = 0x44585253;
 constexpr uint16_t kRouterStateSnapshotVersion = 1;
+
+// The fingerprint a router state built from operator inputs is snapshotted
+// under: the FNV-1a BodyChecksum (src/util/frame.h) of `config_text`, '\n',
+// `table_source` (a trace file's bytes, or a description of a synthetic
+// table), '\n', `inject_spec` (the routes planted on top). A snapshot then
+// only loads back under the exact inputs that produced it. Computed piecewise,
+// so a corpus-sized table source is never copied.
+uint64_t StateFingerprint(std::string_view config_text, const Bytes& table_source,
+                          std::string_view inject_spec);
 
 Bytes SerializeRouterState(const bgp::RouterState& state, uint64_t config_fingerprint);
 

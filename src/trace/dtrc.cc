@@ -12,13 +12,28 @@ namespace {
 
 constexpr char kWhat[] = "dtrc trace";
 
+bool HasTraceMagic(const uint8_t* data, size_t size) {
+  return size >= 4 && ((static_cast<uint32_t>(data[0]) << 24) |
+                       (static_cast<uint32_t>(data[1]) << 16) |
+                       (static_cast<uint32_t>(data[2]) << 8) |
+                       static_cast<uint32_t>(data[3])) == kTraceFormatMagic;
+}
+
+StatusOr<Trace> ParseBinary(const uint8_t* data, size_t size) {
+  DICE_ASSIGN_OR_RETURN(TraceReader reader, TraceReader::Open(data, size));
+  Trace trace;
+  trace.events.reserve(reader.event_count());
+  while (!reader.Done()) {
+    DICE_ASSIGN_OR_RETURN(TraceEvent event, reader.Next());
+    trace.events.push_back(std::move(event));
+  }
+  return trace;
+}
+
 }  // namespace
 
 bool LooksLikeBinaryTrace(const Bytes& bytes) {
-  return bytes.size() >= 4 && ((static_cast<uint32_t>(bytes[0]) << 24) |
-                               (static_cast<uint32_t>(bytes[1]) << 16) |
-                               (static_cast<uint32_t>(bytes[2]) << 8) |
-                               static_cast<uint32_t>(bytes[3])) == kTraceFormatMagic;
+  return HasTraceMagic(bytes.data(), bytes.size());
 }
 
 Status TraceWriter::Append(const TraceEvent& event) {
@@ -45,18 +60,19 @@ Status TraceWriter::Append(const TraceEvent& event) {
 }
 
 Bytes TraceWriter::Finish() const {
-  ByteWriter body;
+  FrameWriter frame(kTraceFormatMagic, kTraceFormatVersion,
+                    table_.SerializedSize() + 8 + events_.size());
+  ByteWriter& body = frame.body();
   table_.Serialize(body);
   body.PutU64(event_count_);
   body.PutBytes(events_.bytes());
-  return FrameMessage(kTraceFormatMagic, kTraceFormatVersion, body.bytes());
+  return frame.Finish();
 }
 
-StatusOr<TraceReader> TraceReader::Open(Bytes bytes) {
+StatusOr<TraceReader> TraceReader::Open(const uint8_t* data, size_t size) {
   TraceReader out;
-  out.buf_ = std::move(bytes);
-  DICE_ASSIGN_OR_RETURN(
-      out.reader_, OpenFrame(out.buf_, kTraceFormatMagic, kTraceFormatVersion, kWhat));
+  DICE_ASSIGN_OR_RETURN(out.reader_,
+                        OpenFrame(data, size, kTraceFormatMagic, kTraceFormatVersion, kWhat));
   DICE_RETURN_IF_ERROR(bgp::LoadAttrTable(out.reader_, kWhat, out.attrs_));
   DICE_ASSIGN_OR_RETURN(out.event_count_, out.reader_.ReadU64());
   // An event costs at least an attr index, a delta, and two zero counts.
@@ -121,6 +137,24 @@ StatusOr<TraceEvent> TraceReader::Next() {
   return event;
 }
 
+Status StreamTrace(Bytes content, const std::function<void(const TraceEvent&)>& visit) {
+  if (!LooksLikeBinaryTrace(content)) {
+    std::string text(content.begin(), content.end());
+    Bytes().swap(content);
+    DICE_ASSIGN_OR_RETURN(Trace trace, ParseTrace(text));
+    for (const TraceEvent& event : trace.events) {
+      visit(event);
+    }
+    return Status::Ok();
+  }
+  DICE_ASSIGN_OR_RETURN(TraceReader reader, TraceReader::Open(content.data(), content.size()));
+  while (!reader.Done()) {
+    DICE_ASSIGN_OR_RETURN(TraceEvent event, reader.Next());
+    visit(event);
+  }
+  return Status::Ok();
+}
+
 StatusOr<Bytes> SerializeTraceBinary(const Trace& trace) {
   TraceWriter writer;
   for (const TraceEvent& event : trace.events) {
@@ -130,20 +164,13 @@ StatusOr<Bytes> SerializeTraceBinary(const Trace& trace) {
 }
 
 StatusOr<Trace> ParseTraceBinary(const Bytes& bytes) {
-  DICE_ASSIGN_OR_RETURN(TraceReader reader, TraceReader::Open(bytes));
-  Trace trace;
-  trace.events.reserve(reader.event_count());
-  while (!reader.Done()) {
-    DICE_ASSIGN_OR_RETURN(TraceEvent event, reader.Next());
-    trace.events.push_back(std::move(event));
-  }
-  return trace;
+  return ParseBinary(bytes.data(), bytes.size());
 }
 
 StatusOr<Trace> ParseTraceAuto(const std::string& content) {
-  Bytes bytes(content.begin(), content.end());
-  if (LooksLikeBinaryTrace(bytes)) {
-    return ParseTraceBinary(bytes);
+  const auto* data = reinterpret_cast<const uint8_t*>(content.data());
+  if (HasTraceMagic(data, content.size())) {
+    return ParseBinary(data, content.size());
   }
   return ParseTrace(content);
 }

@@ -29,6 +29,7 @@
 #ifndef SRC_TRACE_DTRC_H_
 #define SRC_TRACE_DTRC_H_
 
+#include <functional>
 #include <vector>
 
 #include "src/bgp/attr_codec.h"
@@ -71,7 +72,9 @@ class TraceWriter {
 // reference, trailing bytes after the last event — is a Status.
 class TraceReader {
  public:
-  [[nodiscard]] static StatusOr<TraceReader> Open(Bytes bytes);
+  // Reads the frame at data[0, size) in place; the bytes must outlive the
+  // reader.
+  [[nodiscard]] static StatusOr<TraceReader> Open(const uint8_t* data, size_t size);
 
   uint64_t event_count() const { return event_count_; }
   size_t attr_count() const { return attrs_.size(); }
@@ -83,13 +86,21 @@ class TraceReader {
  private:
   TraceReader() : reader_(nullptr, 0) {}
 
-  Bytes buf_;  // owns the body the reader points into
   ByteReader reader_;
   std::vector<bgp::InternedAttrs> attrs_;
   uint64_t event_count_ = 0;
   uint64_t next_ = 0;
   net::SimTime at_ = 0;
 };
+
+// Hands every event of a trace file's `content` to `visit`, in order,
+// without building a Trace: a .dtrc frame (sniffed by magic) is decoded one
+// event at a time straight out of `content`, anything else goes through the
+// text parser. `content` is freed before the call returns. A decode error
+// stops the stream after the events before it were visited, so a caller that
+// builds state from them must discard that state on error.
+[[nodiscard]] Status StreamTrace(Bytes content,
+                                 const std::function<void(const TraceEvent&)>& visit);
 
 // Whole-trace conveniences over the streaming pair.
 [[nodiscard]] StatusOr<Bytes> SerializeTraceBinary(const Trace& trace);

@@ -54,6 +54,18 @@ class ByteWriter {
     PutBytes(reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }
 
+  // Makes room for `n` more bytes in one allocation, so a writer whose final
+  // size is known up front never grows by doubling.
+  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+
+  // Overwrites 4 bytes at `offset` with `v` (for back-patching checksums).
+  void PatchU32(size_t offset, uint32_t v) {
+    DICE_CHECK_LE(offset + 4, buf_.size());
+    buf_[offset] = static_cast<uint8_t>(v >> 24);
+    buf_[offset + 1] = static_cast<uint8_t>(v >> 16);
+    buf_[offset + 2] = static_cast<uint8_t>(v >> 8);
+    buf_[offset + 3] = static_cast<uint8_t>(v);
+  }
   // Overwrites 2 bytes at `offset` with `v` (for back-patching length fields).
   void PatchU16(size_t offset, uint16_t v) {
     DICE_CHECK_LE(offset + 2, buf_.size());

@@ -4,8 +4,21 @@
 
 namespace dice {
 
+namespace {
+
+constexpr uint32_t kFnvOffsetBasis = 2166136261u;
+
+// Where the checksum sits in the header: after the magic and the version.
+constexpr size_t kChecksumOffset = 4 + 2;
+
+}  // namespace
+
 uint32_t BodyChecksum(const uint8_t* data, size_t size) {
-  uint32_t h = 2166136261u;
+  return ExtendChecksum(kFnvOffsetBasis, data, size);
+}
+
+uint32_t ExtendChecksum(uint32_t checksum, const uint8_t* data, size_t size) {
+  uint32_t h = checksum;
   for (size_t i = 0; i < size; ++i) {
     h ^= data[i];
     h *= 16777619u;
@@ -13,22 +26,33 @@ uint32_t BodyChecksum(const uint8_t* data, size_t size) {
   return h;
 }
 
-Bytes FrameMessage(uint32_t magic, uint16_t version, const Bytes& body) {
-  ByteWriter w;
-  w.PutU32(magic);
-  w.PutU16(version);
-  w.PutU32(BodyChecksum(body.data(), body.size()));
-  w.PutBytes(body);
-  return w.Take();
+FrameWriter::FrameWriter(uint32_t magic, uint16_t version, size_t body_size) {
+  writer_.Reserve(kFrameHeaderSize + body_size);
+  writer_.PutU32(magic);
+  writer_.PutU16(version);
+  writer_.PutU32(0);  // patched by Finish
 }
 
-StatusOr<ByteReader> OpenFrame(const Bytes& bytes, uint32_t expected_magic,
+Bytes FrameWriter::Finish() {
+  const Bytes& bytes = writer_.bytes();
+  writer_.PatchU32(kChecksumOffset, BodyChecksum(bytes.data() + kFrameHeaderSize,
+                                                 bytes.size() - kFrameHeaderSize));
+  return writer_.Take();
+}
+
+Bytes FrameMessage(uint32_t magic, uint16_t version, const Bytes& body) {
+  FrameWriter frame(magic, version, body.size());
+  frame.body().PutBytes(body);
+  return frame.Finish();
+}
+
+StatusOr<ByteReader> OpenFrame(const uint8_t* data, size_t size, uint32_t expected_magic,
                                uint16_t expected_version, const char* what) {
-  if (bytes.size() < kFrameHeaderSize) {
+  if (size < kFrameHeaderSize) {
     return InvalidArgumentError(
-        StrFormat("%s: buffer shorter than frame header (%zu bytes)", what, bytes.size()));
+        StrFormat("%s: buffer shorter than frame header (%zu bytes)", what, size));
   }
-  ByteReader r(bytes);
+  ByteReader r(data, size);
   uint32_t magic = r.ReadU32().value();
   if (magic != expected_magic) {
     return InvalidArgumentError(StrFormat("%s: bad magic 0x%08x", what, magic));
@@ -39,8 +63,7 @@ StatusOr<ByteReader> OpenFrame(const Bytes& bytes, uint32_t expected_magic,
                                           version, expected_version));
   }
   uint32_t checksum = r.ReadU32().value();
-  uint32_t actual = BodyChecksum(bytes.data() + kFrameHeaderSize,
-                                 bytes.size() - kFrameHeaderSize);
+  uint32_t actual = BodyChecksum(data + kFrameHeaderSize, size - kFrameHeaderSize);
   if (checksum != actual) {
     return InvalidArgumentError(
         StrFormat("%s: checksum mismatch (frame 0x%08x, body 0x%08x)", what, checksum, actual));

@@ -1,15 +1,21 @@
 // Tests for the .dtrc binary trace format (src/trace/dtrc.h): exact
-// round-trips against the text format, attr-set interning, and the same
-// adversarial discipline as persist_snapshot_test — truncation at every
+// round-trips against the text format, attr-set interning, streaming, and the
+// same adversarial discipline as persist_snapshot_test — truncation at every
 // length, every single-bit flip, version skew, magic confusion, trailing
 // garbage, and bad attribute references must all surface as a Status, never
-// a crash or a silently wrong Trace.
+// a crash or a silently wrong Trace — and, run through dice_cli, never as a
+// snapshot of a half-loaded table.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "src/bgp/wire.h"
 #include "src/trace/dtrc.h"
 #include "src/trace/trace.h"
 #include "src/util/frame.h"
@@ -120,6 +126,9 @@ TEST(DtrcTest, InterningStoresEachDistinctAttrSetOnce) {
   EXPECT_EQ(writer.attr_count(), 1u);
   EXPECT_EQ(writer.event_count(), 1000u);
   Bytes bytes = writer.Finish();
+  // RichEvent sets every optional attribute field, so this also checks the
+  // table's size accounting against what it encodes: one exact allocation.
+  EXPECT_EQ(bytes.capacity(), bytes.size());
   EXPECT_LT(bytes.size(), SerializeTrace(trace).size() / 3);
   auto parsed = ParseTraceBinary(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
@@ -139,7 +148,7 @@ TEST(DtrcTest, ReaderStreamsAndStopsAtEnd) {
   Trace trace = CorpusTrace(9);
   auto bytes = SerializeTraceBinary(trace);
   ASSERT_TRUE(bytes.ok()) << bytes.status();
-  auto reader = TraceReader::Open(*bytes);
+  auto reader = TraceReader::Open(bytes->data(), bytes->size());
   ASSERT_TRUE(reader.ok()) << reader.status();
   EXPECT_EQ(reader->event_count(), trace.events.size());
   size_t i = 0;
@@ -167,7 +176,42 @@ TEST(DtrcTest, AutoSniffPicksTheRightParser) {
   EXPECT_EQ(from_text->events.size(), trace.events.size());
 }
 
+TEST(DtrcTest, StreamTraceVisitsEveryEventOfEitherFormat) {
+  Trace trace = CorpusTrace(4);
+  auto binary = SerializeTraceBinary(trace);
+  ASSERT_TRUE(binary.ok()) << binary.status();
+  const std::string text = SerializeTrace(trace);
+  for (Bytes content : {*binary, Bytes(text.begin(), text.end())}) {
+    std::vector<TraceEvent> seen;
+    Status streamed =
+        StreamTrace(std::move(content), [&](const TraceEvent& ev) { seen.push_back(ev); });
+    ASSERT_TRUE(streamed.ok()) << streamed;
+    EXPECT_EQ(seen, trace.events);
+  }
+}
+
 // --- adversarial bytes ------------------------------------------------------
+
+// A checksum-valid two-event frame whose second event references attribute
+// index 1 while the table holds one entry: only the reader's range check
+// catches it, after the first event has been decoded.
+Bytes BadSecondEventCorpus() {
+  bgp::AttrTable table;
+  EXPECT_EQ(table.IndexOf(bgp::InternedAttrs(RichEvent(0).update.attrs)), 0u);
+  ByteWriter body;
+  table.Serialize(body);
+  body.PutU64(2);     // two events
+  body.PutVarU64(0);  // event 0: attr index in range
+  body.PutVarU64(1);  // delta time
+  body.PutVarU64(0);  // withdrawn count
+  body.PutVarU64(1);  // nlri count
+  bgp::EncodePrefix(body, P("198.51.100.0/24"));
+  body.PutVarU64(1);  // event 1: attr index out of range
+  body.PutVarU64(0);
+  body.PutVarU64(0);
+  body.PutVarU64(0);
+  return FrameMessage(kTraceFormatMagic, kTraceFormatVersion, body.bytes());
+}
 
 class DtrcCorruption : public ::testing::Test {
  protected:
@@ -230,6 +274,56 @@ TEST_F(DtrcCorruption, OutOfRangeAttrReferenceIsAnError) {
                                               body.bytes()));
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(DtrcCorruption, StreamStopsAtABadEventAfterVisitingTheOnesBefore) {
+  size_t visited = 0;
+  Status streamed = StreamTrace(BadSecondEventCorpus(), [&](const TraceEvent&) { ++visited; });
+  EXPECT_EQ(streamed.code(), StatusCode::kInvalidArgument) << streamed;
+  EXPECT_EQ(visited, 1u);
+}
+
+// dice_cli streams the corpus into the RIB, so the RIB has started filling
+// when the bad event surfaces: the run must exit 1 with the reader's error
+// and leave no router-state snapshot of the partial table behind.
+TEST_F(DtrcCorruption, DiceCliSavesNoStateFromABadCorpus) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "dice_dtrc_bad_corpus";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path corpus = dir / "bad.dtrc";
+  const Bytes bytes = BadSecondEventCorpus();
+  {
+    std::ofstream out(corpus, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
+  const std::filesystem::path state_dir = dir / "state";
+  const std::string command = std::string(DICE_CLI_PATH) + " --config=" DICE_TESTDATA_DIR
+                              "/provider.conf --trace=" + corpus.string() +
+                              " --state_dir=" + state_dir.string() + " 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  char buf[4096];
+  for (size_t n; (n = fread(buf, 1, sizeof(buf), pipe)) > 0;) {
+    output.append(buf, n);
+  }
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << output;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << output;
+  EXPECT_NE(output.find("trace error: INVALID_ARGUMENT: dtrc trace: attribute reference 1 out "
+                        "of range (1)"),
+            std::string::npos)
+      << output;
+  if (std::filesystem::exists(state_dir)) {
+    for (const auto& entry : std::filesystem::directory_iterator(state_dir)) {
+      EXPECT_NE(entry.path().filename().string().rfind("router_state.", 0), 0u)
+          << "snapshot left behind: " << entry.path();
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(DtrcCorruption, TrailingBytesInsideTheBodyAreAnError) {

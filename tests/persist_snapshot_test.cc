@@ -284,6 +284,33 @@ TEST(RouterStateSnapshotTest, RoundTripIsBitIdentical) {
       << "restored state must re-serialize to the identical bytes";
 }
 
+// The DXRS bytes of PopulatedState(), pinned: snapshot directories written
+// by earlier builds must keep loading, so a serializer change may not move a
+// byte without bumping kRouterStateSnapshotVersion. The serializer sizes its
+// buffer during its indexing walk; a size that drifted from what it writes
+// would leave capacity and size apart.
+TEST(RouterStateSnapshotTest, BytesArePinnedAndWrittenInOneAllocation) {
+  const Bytes snapshot = persist::SerializeRouterState(PopulatedState(), kFingerprint);
+  EXPECT_EQ(snapshot.size(), 453u);
+  EXPECT_EQ(BodyChecksum(snapshot.data(), snapshot.size()), 0xfb30f06cu);
+  EXPECT_EQ(snapshot.capacity(), snapshot.size());
+}
+
+// The state fingerprint is the checksum of the joined inputs, computed
+// without joining them, and pinned for the same reason as the bytes above.
+TEST(RouterStateSnapshotTest, StateFingerprintIsPinned) {
+  const std::string config = "router r {\n  as 3;\n}\n";
+  const Bytes corpus = {'D', 'T', 'R', 'C', 0x00, 0x01, 0xff, '\n', 0x80, 0x7f};
+  const std::string inject = "208.65.152.0/22:36561";
+  const std::string joined =
+      config + '\n' + std::string(corpus.begin(), corpus.end()) + '\n' + inject;
+  const uint64_t fingerprint = persist::StateFingerprint(config, corpus, inject);
+  EXPECT_EQ(fingerprint,
+            BodyChecksum(reinterpret_cast<const uint8_t*>(joined.data()), joined.size()));
+  EXPECT_EQ(fingerprint, 0x4f0d0465u);
+  EXPECT_NE(persist::StateFingerprint(config, corpus, ""), fingerprint);
+}
+
 TEST(RouterStateSnapshotTest, FingerprintMismatchIsFailedPrecondition) {
   bgp::RouterState state = PopulatedState();
   Bytes snapshot = persist::SerializeRouterState(state, kFingerprint);

@@ -170,6 +170,27 @@ TEST(PosixEnvTest, RoundTripsThroughRealFilesystem) {
 
   ASSERT_TRUE(env.DeleteFile(renamed).ok());
   EXPECT_FALSE(env.FileExists(renamed));
+
+  // Past the old 64 KiB read chunk, and odd-sized: read back whole, into one
+  // allocation sized from the file.
+  Bytes big(200003);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<uint8_t>(i * 131 + (i >> 9));
+  }
+  const std::string big_file = JoinPath(dir, "big.bin");
+  ASSERT_TRUE(env.WriteFile(big_file, big).ok());
+  auto big_read = env.ReadFile(big_file);
+  ASSERT_TRUE(big_read.ok()) << big_read.status();
+  EXPECT_EQ(*big_read, big);
+  EXPECT_EQ(big_read->capacity(), big_read->size()) << "one exact allocation";
+  ASSERT_TRUE(env.DeleteFile(big_file).ok());
+
+  const std::string empty_file = JoinPath(dir, "empty.bin");
+  ASSERT_TRUE(env.WriteFile(empty_file, Bytes{}).ok());
+  auto empty_read = env.ReadFile(empty_file);
+  ASSERT_TRUE(empty_read.ok()) << empty_read.status();
+  EXPECT_TRUE(empty_read->empty());
+  ASSERT_TRUE(env.DeleteFile(empty_file).ok());
 }
 
 TEST(PosixEnvTest, AtomicWriteReplacesAndLeavesNoTemp) {

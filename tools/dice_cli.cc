@@ -480,30 +480,25 @@ int Run(int argc, char** argv) {
   // a router-state snapshot only loads back under the exact config, table
   // source, and injections that produced it, so a warm restart can never
   // silently explore a different cold-start state.
+  persist::PosixEnv persist_env;
   const std::string inject_spec = flags.GetString("inject", "");
-  std::string trace_text_str;
-  if (!trace_path.empty()) {
-    auto trace_text = ReadFile(trace_path);
-    if (!trace_text.ok()) {
-      std::fprintf(stderr, "error: %s\n", trace_text.status().ToString().c_str());
+  Bytes table_source;
+  if (trace_path.empty()) {
+    const std::string synthetic =
+        StrFormat("synthetic:%llu:%llu", static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(prefixes));
+    table_source.assign(synthetic.begin(), synthetic.end());
+  } else {
+    auto corpus = persist_env.ReadFile(trace_path);
+    if (!corpus.ok()) {
+      std::fprintf(stderr, "error: %s\n", corpus.status().ToString().c_str());
       return 1;
     }
-    trace_text_str = std::move(trace_text).value();
+    table_source = std::move(corpus).value();
   }
-  uint64_t state_fingerprint = 0;
-  {
-    std::string fp_src = *config_text + '\n';
-    fp_src += trace_path.empty()
-                  ? StrFormat("synthetic:%llu:%llu", static_cast<unsigned long long>(seed),
-                              static_cast<unsigned long long>(prefixes))
-                  : trace_text_str;
-    fp_src += '\n';
-    fp_src += inject_spec;
-    state_fingerprint =
-        BodyChecksum(reinterpret_cast<const uint8_t*>(fp_src.data()), fp_src.size());
-  }
+  const uint64_t state_fingerprint =
+      persist::StateFingerprint(*config_text, table_source, inject_spec);
 
-  persist::PosixEnv persist_env;
   std::optional<persist::SnapshotStore> router_store;
   std::optional<persist::SnapshotStore> cache_store;
   if (!state_dir.empty()) {
@@ -534,17 +529,23 @@ int Run(int argc, char** argv) {
   if (!state_loaded) {
     size_t loaded = 0;
     if (!trace_path.empty()) {
-      auto trace = trace::ParseTraceAuto(trace_text_str);
-      if (!trace.ok()) {
-        std::fprintf(stderr, "trace error: %s\n", trace.status().ToString().c_str());
+      // Each decoded event goes straight into the RIB, and the corpus is
+      // freed when the stream ends, before the snapshot below is built. A
+      // decode error exits before anything is saved.
+      size_t events = 0;
+      Status streamed =
+          trace::StreamTrace(std::move(table_source), [&](const trace::TraceEvent& ev) {
+            bgp::ProcessUpdate(state, {table_view}, table_view, *table_neighbor, ev.update,
+                               discard);
+            loaded += ev.update.nlri.size();
+            ++events;
+          });
+      if (!streamed.ok()) {
+        std::fprintf(stderr, "trace error: %s\n", streamed.ToString().c_str());
         return 1;
       }
-      for (const trace::TraceEvent& ev : trace->events) {
-        bgp::ProcessUpdate(state, {table_view}, table_view, *table_neighbor, ev.update, discard);
-        loaded += ev.update.nlri.size();
-      }
       std::printf("loaded trace %s: %zu events, %zu announced prefixes\n", trace_path.c_str(),
-                  trace->events.size(), loaded);
+                  events, loaded);
     } else {
       trace::TraceGeneratorOptions gen_options;
       gen_options.seed = seed;
@@ -591,6 +592,7 @@ int Run(int argc, char** argv) {
     }
   }
 
+  Bytes().swap(table_source);  // a warm start loaded the RIB without streaming it
   std::printf("RIB: %zu prefixes\n", state.rib.PrefixCount());
 
   // --- explore ---------------------------------------------------------------

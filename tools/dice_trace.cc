@@ -38,6 +38,7 @@
 #include "src/bgp/attr_intern.h"
 #include "src/bgp/router.h"
 #include "src/dice/explorer.h"
+#include "src/persist/env.h"
 #include "src/trace/dtrc.h"
 #include "src/trace/feed.h"
 #include "src/trace/trace.h"
@@ -237,34 +238,41 @@ int RunGen(const bench::Flags& flags) {
 
 int RunInfo(const bench::Flags& flags) {
   const std::string path = flags.GetString("in", "");
-  auto data = ReadFile(path);
+  persist::PosixEnv env;
+  auto data = env.ReadFile(path);
   if (!data.ok()) {
     std::fprintf(stderr, "error: %s\n", data.status().ToString().c_str());
     return 1;
   }
-  const bool binary =
-      trace::LooksLikeBinaryTrace(Bytes(data->begin(), data->size() < 4 ? data->end()
-                                                                        : data->begin() + 4));
-  auto trace = trace::ParseTraceAuto(*data);
-  if (!trace.ok()) {
-    std::fprintf(stderr, "trace error: %s\n", trace.status().ToString().c_str());
-    return 1;
-  }
+  const bool binary = trace::LooksLikeBinaryTrace(*data);
+  const size_t bytes = data->size();
+  size_t events = 0;
+  size_t announced = 0;
+  size_t withdrawn = 0;
+  net::SimTime duration = 0;  // the last event's time, as Trace::Duration()
   std::unordered_set<uint64_t> attr_sets;
-  for (const trace::TraceEvent& ev : trace->events) {
+  Status streamed = trace::StreamTrace(std::move(*data), [&](const trace::TraceEvent& ev) {
+    ++events;
+    announced += ev.update.nlri.size();
+    withdrawn += ev.update.withdrawn.size();
+    duration = ev.at;
     if (!ev.update.nlri.empty()) {
       attr_sets.insert(bgp::HashAttrs(ev.update.attrs));
     }
+  });
+  if (!streamed.ok()) {
+    std::fprintf(stderr, "trace error: %s\n", streamed.ToString().c_str());
+    return 1;
   }
   std::printf("%s: %s format, %zu bytes\n", path.c_str(), binary ? "binary .dtrc" : "text",
-              data->size());
-  std::printf("events: %zu (%zu announced prefixes, %zu withdrawn)\n", trace->events.size(),
-              trace->TotalAnnouncedPrefixes(), trace->TotalWithdrawnPrefixes());
+              bytes);
+  std::printf("events: %zu (%zu announced prefixes, %zu withdrawn)\n", events, announced,
+              withdrawn);
   std::printf("distinct attr sets: %zu\n", attr_sets.size());
-  std::printf("duration: %.3fs\n", static_cast<double>(trace->Duration()) / net::kSecond);
-  if (!trace->events.empty()) {
+  std::printf("duration: %.3fs\n", static_cast<double>(duration) / net::kSecond);
+  if (events != 0) {
     std::printf("bytes/event: %.1f\n",
-                static_cast<double>(data->size()) / static_cast<double>(trace->events.size()));
+                static_cast<double>(bytes) / static_cast<double>(events));
   }
   return 0;
 }
@@ -358,14 +366,10 @@ int RunReplay(const bench::Flags& flags) {
   const bgp::NeighborConfig* explore_neighbor = &config.neighbors.back();
 
   const std::string trace_path = flags.GetString("in", "");
-  auto trace_data = ReadFile(trace_path);
+  persist::PosixEnv env;
+  auto trace_data = env.ReadFile(trace_path);
   if (!trace_data.ok()) {
     std::fprintf(stderr, "error: %s\n", trace_data.status().ToString().c_str());
-    return 1;
-  }
-  auto trace = trace::ParseTraceAuto(*trace_data);
-  if (!trace.ok()) {
-    std::fprintf(stderr, "trace error: %s\n", trace.status().ToString().c_str());
     return 1;
   }
 
@@ -377,14 +381,20 @@ int RunReplay(const bench::Flags& flags) {
   table_view.address = table_neighbor->address;
   table_view.established = true;
 
+  size_t events = 0;
   size_t loaded = 0;
   bgp::UpdateSink discard = [](bgp::PeerId, const bgp::UpdateMessage&) {};
-  for (const trace::TraceEvent& ev : trace->events) {
+  Status streamed = trace::StreamTrace(std::move(*trace_data), [&](const trace::TraceEvent& ev) {
     bgp::ProcessUpdate(state, {table_view}, table_view, *table_neighbor, ev.update, discard);
     loaded += ev.update.nlri.size();
+    ++events;
+  });
+  if (!streamed.ok()) {
+    std::fprintf(stderr, "trace error: %s\n", streamed.ToString().c_str());
+    return 1;
   }
-  std::printf("replayed %s: %zu events, %zu announced prefixes\n", trace_path.c_str(),
-              trace->events.size(), loaded);
+  std::printf("replayed %s: %zu events, %zu announced prefixes\n", trace_path.c_str(), events,
+              loaded);
   std::printf("RIB: %zu prefixes\n", state.rib.PrefixCount());
 
   bgp::PeerView explore_view;
