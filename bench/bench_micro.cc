@@ -2,6 +2,7 @@
 //
 //  * wire codec encode/decode throughput;
 //  * COW Patricia trie: insert, exact/LPM lookup, snapshot, post-snapshot write;
+//  * attribute interning: intern and release of distinct sets;
 //  * decision process (RoutePreferred);
 //  * filter interpretation, concrete vs symbolic context — quantifying §3.2's
 //    claim that the running system pays "virtually no overhead" when not
@@ -67,6 +68,29 @@ void BM_TrieInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_TrieInsert);
+
+// Interns 10k distinct attribute sets, then releases them all: per set, the
+// intern table's miss (allocate the node, take a slot) and its last drop
+// (free the slot under the shard lock, free the node).
+void BM_AttrInternRoundTrip(benchmark::State& state) {
+  std::vector<bgp::PathAttributes> distinct;
+  for (uint32_t i = 0; i < 10000; ++i) {
+    bgp::PathAttributes attrs = SampleUpdate().attrs;
+    attrs.as_path = bgp::AsPath::Sequence({65000, 3549, 100000 + i});
+    distinct.push_back(std::move(attrs));
+  }
+  std::vector<bgp::InternedAttrs> held;
+  held.reserve(distinct.size());
+  for (auto _ : state) {
+    for (const bgp::PathAttributes& attrs : distinct) {
+      held.emplace_back(attrs);
+    }
+    benchmark::DoNotOptimize(held.data());
+    held.clear();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(distinct.size()));
+}
+BENCHMARK(BM_AttrInternRoundTrip);
 
 bgp::PrefixTrie<int> MakeTrie(size_t n) {
   Rng rng(2);

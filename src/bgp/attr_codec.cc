@@ -165,7 +165,7 @@ Status DecodeAttrs(ByteReader& r, const char* what, PathAttributes& a) {
 }
 
 uint32_t AttrTable::IndexOf(const InternedAttrs& attrs) {
-  const PathAttributes* p = attrs.ptr().get();
+  const PathAttributes* p = &attrs.get();
   auto it = index_.find(p);
   if (it != index_.end()) {
     return it->second;

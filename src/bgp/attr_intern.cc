@@ -1,9 +1,12 @@
 #include "src/bgp/attr_intern.h"
 
 #include <atomic>
+#include <bit>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
+#include <vector>
+
+#include "src/util/logging.h"
 
 namespace dice::bgp {
 namespace {
@@ -15,118 +18,160 @@ inline uint64_t Mix(uint64_t h, uint64_t v) {
   return h;
 }
 
-// The table keys entries by a pointer to the interned value plus its
-// precomputed hash; lookups probe with a pointer to the candidate value, so
-// equality dereferences both sides. Any entry present in a shard has its key
-// object still allocated: the deleter erases the entry (under the shard
-// mutex) *before* freeing the node, so a concurrent probe never dereferences
-// freed memory.
-struct Key {
-  const PathAttributes* attrs;
-  uint64_t hash;
+}  // namespace
 
-  bool operator==(const Key& o) const { return hash == o.hash && *attrs == *o.attrs; }
-};
+// The process-wide table behind InternedAttrs (see the header for the layout
+// and the reference protocol). Determinism audit: slots are only probed and
+// counted; nothing iterates them in an order that reaches exploration
+// results, so address and hash layout never leak into verdicts.
+class AttrInternTable {
+ public:
+  using Node = InternedAttrs::Node;
 
-struct KeyHash {
-  size_t operator()(const Key& k) const { return static_cast<size_t>(k.hash); }
-};
-
-// Determinism audit: the table is only probed (find/emplace/erase) and
-// size()-summed for stats; nothing iterates it, so hash order never leaks
-// into exploration results. dice_lint's unordered-iteration check keeps it
-// that way.
-using Table = std::unordered_map<Key, std::weak_ptr<const PathAttributes>, KeyHash>;
-
-// Lock-striped shards (hash -> shard, one mutex each): interning the same
-// attribute set from two threads serializes on the shard mutex, so both get
-// the same node and pointer identity is preserved. Hit/miss tallies are atomics so concurrent
-// interning does not tear them.
-constexpr size_t kShards = 16;
-
-struct Shard {
-  std::mutex mu;
-  Table table;
-};
-
-Shard* Shards() {
-  static Shard* s = new Shard[kShards];  // intentionally leaked: see header comment
-  return s;
-}
-
-Shard& ShardFor(uint64_t hash) { return Shards()[hash % kShards]; }
-
-std::atomic<uint64_t>& HitCount() {
-  static std::atomic<uint64_t> n{0};
-  return n;
-}
-
-std::atomic<uint64_t>& MissCount() {
-  static std::atomic<uint64_t> n{0};
-  return n;
-}
-
-// shared_ptr deleter: a dying node erases its own entry, so the table tracks
-// exactly the live attribute sets. The hash is recomputed here (death of a
-// distinct attribute set is far rarer than interning one). If another thread
-// already replaced the expired entry with a live node, leave it alone.
-void EraseAndDelete(const PathAttributes* attrs) {
-  const uint64_t hash = HashAttrs(*attrs);
-  Shard& shard = ShardFor(hash);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.table.find(Key{attrs, hash});
-    if (it != shard.table.end() && it->second.expired()) {
-      shard.table.erase(it);
-    }
+  static AttrInternTable& Instance() {
+    static AttrInternTable* table = new AttrInternTable;  // intentionally leaked: see header
+    return *table;
   }
-  delete attrs;
-}
 
-// One interning pass under the shard lock: probe, and on miss (or on an
-// expired entry whose node died on another thread) insert a node built by
-// `make`. The expired entry must be erased — not overwritten — because its
-// key points into the dying node's memory.
-template <typename MakeNode>
-std::shared_ptr<const PathAttributes> FindOrInsert(const PathAttributes& probe, uint64_t hash,
-                                                   MakeNode make) {
-  Shard& shard = ShardFor(hash);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.table.find(Key{&probe, hash});
-  if (it != shard.table.end()) {
-    if (auto hit = it->second.lock()) {
-      HitCount().fetch_add(1, std::memory_order_relaxed);
+  // Returns the node equal to `attrs` with one reference taken for the
+  // caller, allocating it (and copying or moving `attrs` into it) only on
+  // first sighting.
+  template <typename Attrs>
+  Node* Intern(Attrs&& attrs) {
+    const uint64_t hash = HashAttrs(attrs);
+    Shard& shard = ShardFor(hash);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (Node* hit = shard.Find(attrs, hash)) {
+      hit->refs.fetch_add(1, std::memory_order_relaxed);
+      ++shard.hits;
       return hit;
     }
-    shard.table.erase(it);
+    ++shard.misses;
+    Node* node = new Node{PathAttributes(std::forward<Attrs>(attrs)), hash};
+    shard.Insert(node);
+    return node;
   }
-  MissCount().fetch_add(1, std::memory_order_relaxed);
-  const PathAttributes* node = make();
-  std::shared_ptr<const PathAttributes> shared(node, &EraseAndDelete);
-  shard.table.emplace(Key{node, hash}, shared);
-  return shared;
-}
 
-std::shared_ptr<const PathAttributes> Intern(PathAttributes&& attrs) {
-  const uint64_t hash = HashAttrs(attrs);
-  return FindOrInsert(attrs, hash,
-                      [&attrs] { return new PathAttributes(std::move(attrs)); });
-}
+  // The empty set, with one permanent reference so it is never freed.
+  Node* Empty() {
+    static Node* const empty = Intern(PathAttributes{});
+    return empty;
+  }
 
-std::shared_ptr<const PathAttributes> Intern(const PathAttributes& attrs) {
-  const uint64_t hash = HashAttrs(attrs);
-  // Deep copy only on first sighting.
-  return FindOrInsert(attrs, hash, [&attrs] { return new PathAttributes(attrs); });
-}
+  void ReleaseLast(Node* node) {
+    Shard& shard = ShardFor(node->hash);
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      if (node->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+        return;  // an intern hit took a reference after the caller read refs == 1
+      }
+      shard.Erase(node);
+    }
+    delete node;
+  }
 
-const std::shared_ptr<const PathAttributes>& EmptyAttrs() {
-  // Holds one permanent reference so the empty set is never evicted.
-  static const auto* empty =
-      new std::shared_ptr<const PathAttributes>(Intern(PathAttributes{}));
-  return *empty;
-}
+  AttrInternStats Stats() {
+    AttrInternStats stats;
+    for (Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      stats.live_entries += shard.size;
+      stats.hits += shard.hits;
+      stats.misses += shard.misses;
+    }
+    return stats;
+  }
 
-}  // namespace
+ private:
+  struct Slot {
+    uint64_t hash = 0;
+    Node* node = nullptr;  // nullptr marks an empty slot
+  };
+
+  // One open-addressing table and its intern tallies under one mutex.
+  // slots.size() is zero or a power of two, at most 3/4 full.
+  struct Shard {
+    std::mutex mu;
+    std::vector<Slot> slots;
+    size_t size = 0;
+    unsigned shift = 64;  // 64 - log2(slots.size())
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+
+    size_t Mask() const { return slots.size() - 1; }
+    // Fibonacci hashing spreads every bit of the hash over the slot index;
+    // the low bits alone already chose the shard.
+    size_t Home(uint64_t hash) const {
+      return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift);
+    }
+
+    Node* Find(const PathAttributes& attrs, uint64_t hash) const {
+      if (slots.empty()) {
+        return nullptr;
+      }
+      for (size_t i = Home(hash);; i = (i + 1) & Mask()) {
+        const Slot& slot = slots[i];
+        if (slot.node == nullptr) {
+          return nullptr;
+        }
+        if (slot.hash == hash && slot.node->attrs == attrs) {
+          return slot.node;
+        }
+      }
+    }
+
+    void Insert(Node* node) {
+      if ((size + 1) * 4 > slots.size() * 3) {
+        Grow();
+      }
+      Place(Slot{node->hash, node});
+      ++size;
+    }
+
+    // Erases by node identity, then shifts each later entry of the probe run
+    // back into the hole unless its home slot lies after the hole.
+    void Erase(const Node* node) {
+      size_t hole = Home(node->hash);
+      while (slots[hole].node != node) {
+        DICE_CHECK(slots[hole].node != nullptr) << "interned node missing from its shard";
+        hole = (hole + 1) & Mask();
+      }
+      for (size_t j = (hole + 1) & Mask(); slots[j].node != nullptr; j = (j + 1) & Mask()) {
+        const size_t home = Home(slots[j].hash);
+        if (((j - home) & Mask()) >= ((j - hole) & Mask())) {
+          slots[hole] = slots[j];
+          hole = j;
+        }
+      }
+      slots[hole] = Slot{};
+      --size;
+    }
+
+    void Place(Slot slot) {
+      size_t i = Home(slot.hash);
+      while (slots[i].node != nullptr) {
+        i = (i + 1) & Mask();
+      }
+      slots[i] = slot;
+    }
+
+    void Grow() {
+      std::vector<Slot> old = std::move(slots);
+      slots.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+      shift = 64 - static_cast<unsigned>(std::countr_zero(slots.size()));
+      for (const Slot& slot : old) {
+        if (slot.node != nullptr) {
+          Place(slot);
+        }
+      }
+    }
+  };
+
+  static constexpr size_t kShards = 16;
+
+  Shard& ShardFor(uint64_t hash) { return shards_[hash % kShards]; }
+
+  Shard shards_[kShards];
+};
 
 uint64_t HashAttrs(const PathAttributes& attrs) {
   uint64_t h = 0x9ddfea08eb382d69ULL;
@@ -172,22 +217,16 @@ size_t AttrsHeapBytes(const PathAttributes& attrs) {
   return bytes;
 }
 
-InternedAttrs::InternedAttrs() : ptr_(EmptyAttrs()) {}
+InternedAttrs::InternedAttrs() : node_(AttrInternTable::Instance().Empty()) { Retain(node_); }
 
-InternedAttrs::InternedAttrs(const PathAttributes& attrs) : ptr_(Intern(attrs)) {}
+InternedAttrs::InternedAttrs(const PathAttributes& attrs)
+    : node_(AttrInternTable::Instance().Intern(attrs)) {}
 
-InternedAttrs::InternedAttrs(PathAttributes&& attrs) : ptr_(Intern(std::move(attrs))) {}
+InternedAttrs::InternedAttrs(PathAttributes&& attrs)
+    : node_(AttrInternTable::Instance().Intern(std::move(attrs))) {}
 
-AttrInternStats AttrInternTableStats() {
-  AttrInternStats stats;
-  stats.hits = HitCount().load(std::memory_order_relaxed);
-  stats.misses = MissCount().load(std::memory_order_relaxed);
-  for (size_t i = 0; i < kShards; ++i) {
-    Shard& shard = Shards()[i];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    stats.live_entries += shard.table.size();
-  }
-  return stats;
-}
+void InternedAttrs::ReleaseLast(Node* node) { AttrInternTable::Instance().ReleaseLast(node); }
+
+AttrInternStats AttrInternTableStats() { return AttrInternTable::Instance().Stats(); }
 
 }  // namespace dice::bgp

@@ -43,13 +43,43 @@ class PrefixTrie {
   bool empty() const { return size_ == 0; }
 
   // Inserts or overwrites the value at `prefix`. Returns true if inserted.
+  // Walks down through the child slots, path-copying only shared nodes.
   bool Insert(const Prefix& prefix, V value) {
-    bool added = false;
-    root_ = InsertRec(root_, prefix, std::move(value), added);
-    if (added) {
+    NodePtr* slot = &root_;
+    while (*slot != nullptr) {
+      const Node& node = **slot;
+      const uint8_t common = CommonLength(node.key, prefix);
+      if (common == node.key.length() && common == prefix.length()) {
+        // Exact node.
+        Node& owned = Own(*slot);
+        const bool added = !owned.value.has_value();
+        owned.value = std::move(value);
+        size_ += added ? 1 : 0;
+        return added;
+      }
+      if (common == node.key.length()) {
+        // prefix extends below node.
+        slot = &Own(*slot).child[BitAt(prefix.address().bits(), common)];
+        continue;
+      }
+      NodePtr above = std::make_shared<Node>();
+      if (common == prefix.length()) {
+        // prefix is an ancestor of node.key: new node above.
+        above->key = prefix;
+        above->value = std::move(value);
+      } else {
+        // Diverge: internal node at the common prefix, both below it.
+        above->key = Prefix::Make(prefix.address(), common);
+        above->child[BitAt(prefix.address().bits(), common)] = Leaf(prefix, std::move(value));
+      }
+      above->child[BitAt(node.key.address().bits(), common)] = std::move(*slot);
+      *slot = std::move(above);
       ++size_;
+      return true;
     }
-    return added;
+    *slot = Leaf(prefix, std::move(value));
+    ++size_;
+    return true;
   }
 
   // Returns the value at exactly `prefix`, or nullptr.
@@ -65,9 +95,14 @@ class PrefixTrie {
     if (node == nullptr || !node->value.has_value()) {
       return nullptr;  // absent, or a valueless fork node at this key
     }
-    V* out = nullptr;
-    root_ = FindMutableRec(root_, prefix, out);
-    return out;
+    NodePtr* slot = &root_;
+    for (;;) {
+      Node& owned = Own(*slot);
+      if (owned.key.length() == prefix.length()) {
+        return &*owned.value;
+      }
+      slot = &owned.child[BitAt(prefix.address().bits(), owned.key.length())];
+    }
   }
 
   // Longest-prefix match for a single address; nullopt if no covering prefix.
@@ -91,11 +126,8 @@ class PrefixTrie {
 
   // Removes `prefix`. Returns true if it was present.
   bool Erase(const Prefix& prefix) {
-    bool removed = false;
-    root_ = EraseRec(root_, prefix, removed);
-    if (removed) {
-      --size_;
-    }
+    const bool removed = EraseAt(root_, prefix);
+    size_ -= removed ? 1 : 0;
     return removed;
   }
 
@@ -203,62 +235,21 @@ class PrefixTrie {
     return same < max ? same : max;
   }
 
-  // Returns a node we are allowed to mutate: `node` itself when unshared, or
-  // a shallow copy otherwise (children stay shared).
-  static NodePtr Own(const NodePtr& node) {
-    if (node.use_count() == 1) {
-      return node;
+  // Makes the node in `slot` one we are allowed to mutate: the node itself
+  // when unshared, or else a shallow copy (children stay shared) that
+  // replaces it in the slot, leaving the original to the snapshots that
+  // hold it. The slot must itself belong to an owned node (or be the root).
+  static Node& Own(NodePtr& slot) {
+    if (slot.use_count() != 1) {
+      slot = std::make_shared<Node>(*slot);
     }
-    auto copy = std::make_shared<Node>();
-    copy->key = node->key;
-    copy->value = node->value;
-    copy->child[0] = node->child[0];
-    copy->child[1] = node->child[1];
-    return copy;
+    return *slot;
   }
-
-  static NodePtr InsertRec(const NodePtr& node, const Prefix& prefix, V&& value, bool& added) {
-    if (node == nullptr) {
-      auto leaf = std::make_shared<Node>();
-      leaf->key = prefix;
-      leaf->value = std::move(value);
-      added = true;
-      return leaf;
-    }
-    uint8_t common = CommonLength(node->key, prefix);
-    if (common == node->key.length() && common == prefix.length()) {
-      // Exact node.
-      NodePtr owned = Own(node);
-      added = !owned->value.has_value();
-      owned->value = std::move(value);
-      return owned;
-    }
-    if (common == node->key.length()) {
-      // prefix extends below node.
-      int bit = BitAt(prefix.address().bits(), common);
-      NodePtr owned = Own(node);
-      owned->child[bit] = InsertRec(owned->child[bit], prefix, std::move(value), added);
-      return owned;
-    }
-    if (common == prefix.length()) {
-      // prefix is an ancestor of node->key: new node above.
-      auto parent = std::make_shared<Node>();
-      parent->key = prefix;
-      parent->value = std::move(value);
-      parent->child[BitAt(node->key.address().bits(), common)] = node;
-      added = true;
-      return parent;
-    }
-    // Diverge: internal node at the common prefix, both below it.
-    auto fork = std::make_shared<Node>();
-    fork->key = Prefix::Make(prefix.address(), common);
+  static NodePtr Leaf(const Prefix& prefix, V&& value) {
     auto leaf = std::make_shared<Node>();
     leaf->key = prefix;
     leaf->value = std::move(value);
-    fork->child[BitAt(prefix.address().bits(), common)] = leaf;
-    fork->child[BitAt(node->key.address().bits(), common)] = node;
-    added = true;
-    return fork;
+    return leaf;
   }
 
   const Node* FindNode(const Prefix& prefix) const {
@@ -276,63 +267,45 @@ class PrefixTrie {
     return nullptr;
   }
 
-  static NodePtr FindMutableRec(const NodePtr& node, const Prefix& prefix, V*& out) {
-    DICE_CHECK(node != nullptr);
-    NodePtr owned = Own(node);
-    if (owned->key.length() == prefix.length()) {
-      DICE_CHECK(owned->value.has_value());
-      out = &*owned->value;
-      return owned;
+  // Erases `prefix` from the subtree in `slot`, which must belong to an owned
+  // node (or be the root). Returns true if it was present.
+  static bool EraseAt(NodePtr& slot, const Prefix& prefix) {
+    if (slot == nullptr) {
+      return false;
     }
-    int bit = BitAt(prefix.address().bits(), owned->key.length());
-    owned->child[bit] = FindMutableRec(owned->child[bit], prefix, out);
-    return owned;
+    const Node& node = *slot;
+    if (CommonLength(node.key, prefix) < node.key.length()) {
+      return false;  // not present
+    }
+    if (node.key.length() == prefix.length()) {
+      if (!node.value.has_value()) {
+        return false;
+      }
+      if (node.child[0] != nullptr && node.child[1] != nullptr) {
+        Own(slot).value.reset();
+      } else {
+        SpliceOut(slot);
+      }
+      return true;
+    }
+    const int bit = BitAt(prefix.address().bits(), node.key.length());
+    if (node.child[bit] == nullptr) {
+      return false;
+    }
+    Node& owned = Own(slot);
+    if (!EraseAt(owned.child[bit], prefix)) {
+      return false;
+    }
+    if (!owned.value.has_value() && (owned.child[0] == nullptr || owned.child[1] == nullptr)) {
+      SpliceOut(slot);  // it became a pass-through internal node
+    }
+    return true;
   }
 
-  static NodePtr EraseRec(const NodePtr& node, const Prefix& prefix, bool& removed) {
-    if (node == nullptr) {
-      return nullptr;
-    }
-    uint8_t common = CommonLength(node->key, prefix);
-    if (common < node->key.length()) {
-      return node;  // not present
-    }
-    if (node->key.length() == prefix.length()) {
-      if (!node->value.has_value()) {
-        return node;
-      }
-      removed = true;
-      // Drop the value; then collapse if possible.
-      bool has0 = node->child[0] != nullptr;
-      bool has1 = node->child[1] != nullptr;
-      if (!has0 && !has1) {
-        return nullptr;
-      }
-      if (has0 != has1) {
-        return node->child[has0 ? 0 : 1];  // splice out pass-through node
-      }
-      NodePtr owned = Own(node);
-      owned->value.reset();
-      return owned;
-    }
-    int bit = BitAt(prefix.address().bits(), node->key.length());
-    if (node->child[bit] == nullptr) {
-      return node;
-    }
-    NodePtr owned = Own(node);
-    owned->child[bit] = EraseRec(owned->child[bit], prefix, removed);
-    if (removed && !owned->value.has_value()) {
-      // This may have become a pass-through internal node; collapse it.
-      bool has0 = owned->child[0] != nullptr;
-      bool has1 = owned->child[1] != nullptr;
-      if (!has0 && !has1) {
-        return nullptr;
-      }
-      if (has0 != has1) {
-        return owned->child[has0 ? 0 : 1];
-      }
-    }
-    return owned;
+  // Replaces the node in `slot`, which has at most one child, with that child.
+  static void SpliceOut(NodePtr& slot) {
+    NodePtr only = slot->child[slot->child[0] != nullptr ? 0 : 1];
+    slot = std::move(only);
   }
 
   static bool WalkRec(const Node* node, const std::function<bool(const Prefix&, const V&)>& fn) {

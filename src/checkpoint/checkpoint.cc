@@ -26,13 +26,13 @@ void CollectAttrs(const bgp::RouterState& reference,
                   std::unordered_set<const bgp::PathAttributes*>& reachable) {
   reference.rib.Walk([&](const bgp::Prefix&, const bgp::RibEntry& entry) {
     for (const bgp::Route& route : entry.routes) {
-      reachable.insert(route.attrs.ptr().get());
+      reachable.insert(&route.attrs.get());
     }
     return true;
   });
   for (const auto& [peer, trie] : reference.adj_out) {
     trie.Walk([&](const bgp::Prefix&, const bgp::InternedAttrs& attrs) {
-      reachable.insert(attrs.ptr().get());
+      reachable.insert(&attrs.get());
       return true;
     });
   }
@@ -54,7 +54,7 @@ MemoryStats ComputeSharing(const bgp::RouterState& state, const bgp::RouterState
   // only if the reference state references it nowhere.
   std::unordered_set<const bgp::PathAttributes*> counted_attrs;
   auto charge_attrs = [&](const bgp::InternedAttrs& attrs) {
-    const bgp::PathAttributes* p = attrs.ptr().get();
+    const bgp::PathAttributes* p = &attrs.get();
     if (!counted_attrs.insert(p).second) {
       return;
     }

@@ -258,7 +258,7 @@ NarrowReply InProcessExplorationService::ProcessOne(
   if (!mutates) {
     bgp::InternedAttrs interned(update.attrs);
     for (const bgp::Prefix& announced : update.nlri) {
-      auto key = std::make_pair(interned.ptr(), announced);
+      ScreenKey key(interned, announced);
       auto it = screen_cache.find(key);
       bgp::ImportDisposition disposition;
       if (it != screen_cache.end()) {

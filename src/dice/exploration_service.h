@@ -22,6 +22,7 @@
 #ifndef SRC_DICE_EXPLORATION_SERVICE_H_
 #define SRC_DICE_EXPLORATION_SERVICE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -155,12 +156,19 @@ class InProcessExplorationService : public ExplorationService {
 
  private:
   // Keyed on the interned attrs handle itself (not a raw pointer): the
-  // shared_ptr pins the attribute set for the cache's lifetime, so a freed
-  // set's address can never be reused by a different set and alias its
-  // cached verdict.
-  using ScreenCache = std::map<
-      std::pair<std::shared_ptr<const bgp::PathAttributes>, bgp::Prefix>,
-      bgp::ImportDisposition>;
+  // handle holds a reference, which pins the attribute set for the cache's
+  // lifetime, so a freed set's address can never be reused by a different
+  // set and alias its cached verdict. Ordered by the set's address; the
+  // cache is only probed, never iterated.
+  using ScreenKey = std::pair<bgp::InternedAttrs, bgp::Prefix>;
+  struct ScreenKeyLess {
+    bool operator()(const ScreenKey& a, const ScreenKey& b) const {
+      const bgp::PathAttributes* x = &a.first.get();
+      const bgp::PathAttributes* y = &b.first.get();
+      return x != y ? std::less<const bgp::PathAttributes*>()(x, y) : a.second < b.second;
+    }
+  };
+  using ScreenCache = std::map<ScreenKey, bgp::ImportDisposition, ScreenKeyLess>;
 
   NarrowReply ProcessOne(const bgp::UpdateMessage& update, const bgp::PeerView& from_view,
                          const bgp::NeighborConfig& neighbor, ScreenCache& screen_cache,

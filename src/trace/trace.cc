@@ -386,27 +386,30 @@ bgp::PathAttributes TraceGenerator::MakeAttrs(bgp::AsNumber origin_as) {
   return attrs;
 }
 
-Trace TraceGenerator::FullDump() const {
-  Trace trace;
+void TraceGenerator::StreamFullDump(const std::function<void(const TraceEvent&)>& visit) const {
   // Group contiguous table entries into batched UPDATEs. Entries sharing one
   // UPDATE must share attributes; the generator's table entries each carry
   // their own path, so batch only entries with equal attributes (common for
   // popular origins) up to prefixes_per_message.
+  TraceEvent ev;
   size_t i = 0;
   while (i < table_.size()) {
-    TraceEvent ev;
-    ev.at = 0;
     ev.update.attrs = table_[i].attrs;
-    ev.update.nlri.push_back(table_[i].prefix);
+    ev.update.nlri.assign(1, table_[i].prefix);
     size_t j = i + 1;
     while (j < table_.size() && ev.update.nlri.size() < options_.prefixes_per_message &&
            table_[j].attrs == table_[i].attrs) {
       ev.update.nlri.push_back(table_[j].prefix);
       ++j;
     }
-    trace.events.push_back(std::move(ev));
+    visit(ev);
     i = j;
   }
+}
+
+Trace TraceGenerator::FullDump() const {
+  Trace trace;
+  StreamFullDump([&trace](const TraceEvent& ev) { trace.events.push_back(ev); });
   return trace;
 }
 

@@ -14,6 +14,7 @@
 #define SRC_TRACE_TRACE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -92,8 +93,13 @@ class TraceGenerator {
   };
   const std::vector<TableRoute>& table() const { return table_; }
 
-  // Full-table dump as a batched UPDATE sequence (all at time 0, like a
-  // table transfer after session establishment).
+  // Hands each event of the full-table dump to `visit`, in order, building
+  // one event at a time: a batched UPDATE sequence, all at time 0, like a
+  // table transfer after session establishment. The event is reused, so
+  // `visit` must copy what it keeps.
+  void StreamFullDump(const std::function<void(const TraceEvent&)>& visit) const;
+
+  // The same dump collected into a Trace.
   Trace FullDump() const;
 
   // Low-rate update trace over existing table entries.

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -12,6 +13,9 @@
 
 namespace dice::bgp {
 namespace {
+
+// A Route holds one; the handle is a single pointer to the interned node.
+static_assert(sizeof(InternedAttrs) == sizeof(void*));
 
 PathAttributes SampleAttrs(std::vector<AsNumber> path, uint32_t community_tag = 0) {
   PathAttributes attrs;
@@ -28,7 +32,7 @@ PathAttributes SampleAttrs(std::vector<AsNumber> path, uint32_t community_tag = 
 TEST(AttrInternTest, StructuralEqualityIsPointerEquality) {
   InternedAttrs a = SampleAttrs({1, 2, 3});
   InternedAttrs b = SampleAttrs({1, 2, 3});  // built independently
-  EXPECT_EQ(a.ptr().get(), b.ptr().get());
+  EXPECT_EQ(&a.get(), &b.get());
   EXPECT_TRUE(a == b);
 }
 
@@ -36,8 +40,8 @@ TEST(AttrInternTest, DistinctValuesGetDistinctNodes) {
   InternedAttrs a = SampleAttrs({1, 2, 3});
   InternedAttrs b = SampleAttrs({1, 2, 4});
   InternedAttrs c = SampleAttrs({1, 2, 3}, /*community_tag=*/7);
-  EXPECT_NE(a.ptr().get(), b.ptr().get());
-  EXPECT_NE(a.ptr().get(), c.ptr().get());
+  EXPECT_NE(&a.get(), &b.get());
+  EXPECT_NE(&a.get(), &c.get());
   EXPECT_FALSE(a == b);
   // The payloads really differ (equality is not vacuously false).
   EXPECT_FALSE(*a == *b);
@@ -46,7 +50,7 @@ TEST(AttrInternTest, DistinctValuesGetDistinctNodes) {
 TEST(AttrInternTest, DefaultHandleIsInternedEmptySet) {
   InternedAttrs a;
   InternedAttrs b;
-  EXPECT_EQ(a.ptr().get(), b.ptr().get());
+  EXPECT_EQ(&a.get(), &b.get());
   EXPECT_TRUE(*a == PathAttributes{});
   EXPECT_TRUE(a == InternedAttrs(PathAttributes{}));
 }
@@ -56,7 +60,7 @@ TEST(AttrInternTest, TableStableUnderRepeatedInterning) {
   AttrInternStats before = AttrInternTableStats();
   for (int i = 0; i < 100; ++i) {
     InternedAttrs again = SampleAttrs({64500, 64501});
-    EXPECT_EQ(again.ptr().get(), keep.ptr().get());
+    EXPECT_EQ(&again.get(), &keep.get());
   }
   AttrInternStats after = AttrInternTableStats();
   EXPECT_EQ(after.live_entries, before.live_entries) << "re-interning must not grow the table";
@@ -80,7 +84,7 @@ TEST(AttrInternTest, RouteCopiesShareTheNode) {
   route.peer_as = 65000;
   route.attrs = SampleAttrs({65000, 64496});
   Route copy = route;
-  EXPECT_EQ(copy.attrs.ptr().get(), route.attrs.ptr().get());
+  EXPECT_EQ(&copy.attrs.get(), &route.attrs.get());
   EXPECT_TRUE(copy == route);
 }
 
@@ -93,7 +97,27 @@ TEST(AttrInternTest, HeapBytesCountOwnedStorage) {
       << "AS path elements and communities must be charged";
 }
 
-// --- Concurrent interning (the lock-striped table behind parallel solving) ---
+TEST(AttrInternTest, CopiesAndMovesKeepTheNodeAlive) {
+  const InternedAttrs empty;  // interns the empty set before the count is taken
+  const AttrInternStats before = AttrInternTableStats();
+  {
+    InternedAttrs a = SampleAttrs({59990, 59991});  // unique to this test
+    InternedAttrs b = a;
+    InternedAttrs c = std::move(b);
+    a = empty;  // drops one of two references
+    EXPECT_EQ(AttrInternTableStats().live_entries, before.live_entries + 1);
+    EXPECT_TRUE(*c == SampleAttrs({59990, 59991}));
+    InternedAttrs& same = c;
+    c = same;  // self-assignment keeps the reference
+    c = std::move(same);  // and so does self-move
+    b = std::move(c);
+    EXPECT_EQ(AttrInternTableStats().live_entries, before.live_entries + 1);
+    EXPECT_TRUE(*b == SampleAttrs({59990, 59991}));
+  }
+  EXPECT_EQ(AttrInternTableStats().live_entries, before.live_entries);
+}
+
+// --- Concurrent interning (the explorer and an in-process server's threads) ---
 
 TEST(AttrInternTest, ConcurrentInterningAgreesOnPointerIdentity) {
   // N threads interning the same overlapping attribute sets must converge on
@@ -123,7 +147,7 @@ TEST(AttrInternTest, ConcurrentInterningAgreesOnPointerIdentity) {
   for (size_t t = 1; t < kThreads; ++t) {
     ASSERT_EQ(built[t].size(), kValues);
     for (uint32_t v = 0; v < kValues; ++v) {
-      EXPECT_EQ(built[0][v].ptr().get(), built[t][v].ptr().get())
+      EXPECT_EQ(&built[0][v].get(), &built[t][v].get())
           << "thread " << t << " value " << v << " must share the interned node";
     }
   }
@@ -156,6 +180,43 @@ TEST(AttrInternTest, ConcurrentChurnLeavesNoResidue) {
     th.join();
   }
   EXPECT_EQ(AttrInternTableStats().live_entries, before);
+}
+
+TEST(AttrInternTest, ConcurrentHoldCopyDropKeepsIdentity) {
+  // One set stays held throughout. Half the threads copy the held handle and
+  // drop the copies: decrements above 1, which take no lock. The other half
+  // intern the same value and drop it (a hit under the shard lock), and also
+  // intern and drop a set nobody holds, whose last drop races other threads'
+  // hits on it under the lock. Every handle must be the held one, and only
+  // the held set may stay live. AS numbers 56xxx are unique to this test.
+  constexpr size_t kThreads = 8;
+  const size_t before = AttrInternTableStats().live_entries;
+  const InternedAttrs held = SampleAttrs({56000, 56001, 56002});
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &held, &mismatches] {
+      for (uint32_t i = 0; i < 2000; ++i) {
+        if (t % 2 == 0) {
+          InternedAttrs copy = held;
+          InternedAttrs again = copy;
+          mismatches += (copy == held && again == held) ? 0 : 1;
+        } else {
+          InternedAttrs hit = SampleAttrs({56000, 56001, 56002});
+          mismatches += hit == held ? 0 : 1;
+          InternedAttrs transient = SampleAttrs({56100, static_cast<AsNumber>(56101 + i % 4)});
+          mismatches += transient == held ? 1 : 0;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_TRUE(*held == SampleAttrs({56000, 56001, 56002}));
+  EXPECT_EQ(AttrInternTableStats().live_entries, before + 1);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "src/bgp/prefix_trie.h"
 #include "src/util/rng.h"
@@ -195,12 +198,64 @@ TEST(PrefixTrieSnapshotTest, ManySnapshotsShareNodes) {
 
 class TrieVsMapProperty : public ::testing::TestWithParam<uint64_t> {};
 
+using Model = std::map<Prefix, uint32_t>;
+
+// Walk order, exact lookups and longest-prefix match against the model.
+void ExpectMatchesModel(const PrefixTrie<uint32_t>& trie, const Model& model, Rng& rng) {
+  ASSERT_EQ(trie.size(), model.size());
+  std::vector<std::pair<Prefix, uint32_t>> walked;
+  trie.Walk([&](const Prefix& p, const uint32_t& v) {
+    walked.push_back({p, v});
+    return true;
+  });
+  ASSERT_EQ(walked.size(), model.size());
+  size_t i = 0;
+  for (const auto& [p, v] : model) {
+    EXPECT_EQ(walked[i].first, p);
+    EXPECT_EQ(walked[i].second, v);
+    const uint32_t* found = trie.Find(p);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(*found, v);
+    ++i;
+  }
+
+  // Longest-match agrees with a brute-force scan for random addresses.
+  for (int q = 0; q < 200; ++q) {
+    Ipv4Address addr(static_cast<uint32_t>(rng.NextBelow(64)) << 24 |
+                     static_cast<uint32_t>(rng.NextBelow(4)) << 16 | rng.NextU32() % 0xffff);
+    Model::const_iterator best = model.end();
+    for (auto it = model.begin(); it != model.end(); ++it) {
+      if (it->first.Contains(addr) &&
+          (best == model.end() || it->first.length() > best->first.length())) {
+        best = it;
+      }
+    }
+    auto m = trie.LongestMatch(addr);
+    if (best != model.end()) {
+      ASSERT_TRUE(m.has_value());
+      EXPECT_EQ(m->first, best->first);
+      EXPECT_EQ(*m->second, best->second);
+    } else {
+      EXPECT_FALSE(m.has_value());
+    }
+  }
+}
+
 TEST_P(TrieVsMapProperty, MatchesStdMapUnderRandomOps) {
   Rng rng(GetParam());
   PrefixTrie<uint32_t> trie;
-  std::map<Prefix, uint32_t> model;
+  Model model;
+  // A snapshot taken mid-run: every later op path-copies around it, so it
+  // must still equal the model as it was when it was taken.
+  constexpr int kOps = 4000;
+  std::optional<PrefixTrie<uint32_t>> snapshot;
+  Model snapshot_model;
 
-  for (int op = 0; op < 4000; ++op) {
+  for (int op = 0; op < kOps; ++op) {
+    if (op == kOps / 2) {
+      snapshot = trie;
+      snapshot_model = model;
+    }
     // Small address pool to force collisions, nesting and deletions.
     uint32_t addr = static_cast<uint32_t>(rng.NextBelow(64)) << 24 |
                     static_cast<uint32_t>(rng.NextBelow(4)) << 16;
@@ -208,7 +263,7 @@ TEST_P(TrieVsMapProperty, MatchesStdMapUnderRandomOps) {
     Prefix p = Prefix::Make(Ipv4Address(addr), len);
     uint32_t val = rng.NextU32();
 
-    switch (rng.NextBelow(4)) {
+    switch (rng.NextBelow(5)) {
       case 0:
       case 1: {  // insert
         bool added_model = model.emplace(p, val).second;
@@ -236,42 +291,26 @@ TEST_P(TrieVsMapProperty, MatchesStdMapUnderRandomOps) {
         }
         break;
       }
+      case 4: {  // write in place
+        uint32_t* found = trie.FindMutable(p);
+        auto it = model.find(p);
+        if (it == model.end()) {
+          EXPECT_EQ(found, nullptr);
+        } else {
+          ASSERT_NE(found, nullptr);
+          EXPECT_EQ(*found, it->second);
+          *found = val;
+          it->second = val;
+        }
+        break;
+      }
     }
     EXPECT_EQ(trie.size(), model.size());
   }
 
-  // Full-content check including iteration order.
-  std::vector<std::pair<Prefix, uint32_t>> walked;
-  trie.Walk([&](const Prefix& p, const uint32_t& v) {
-    walked.push_back({p, v});
-    return true;
-  });
-  ASSERT_EQ(walked.size(), model.size());
-  size_t i = 0;
-  for (const auto& [p, v] : model) {
-    EXPECT_EQ(walked[i].first, p);
-    EXPECT_EQ(walked[i].second, v);
-    ++i;
-  }
-
-  // Longest-match agrees with a brute-force scan for random addresses.
-  for (int q = 0; q < 200; ++q) {
-    Ipv4Address addr(static_cast<uint32_t>(rng.NextBelow(64)) << 24 |
-                     static_cast<uint32_t>(rng.NextBelow(4)) << 16 | rng.NextU32() % 0xffff);
-    std::optional<Prefix> best;
-    for (const auto& [p, v] : model) {
-      if (p.Contains(addr) && (!best.has_value() || p.length() > best->length())) {
-        best = p;
-      }
-    }
-    auto m = trie.LongestMatch(addr);
-    if (best.has_value()) {
-      ASSERT_TRUE(m.has_value());
-      EXPECT_EQ(m->first, *best);
-    } else {
-      EXPECT_FALSE(m.has_value());
-    }
-  }
+  ExpectMatchesModel(trie, model, rng);
+  ASSERT_TRUE(snapshot.has_value());
+  ExpectMatchesModel(*snapshot, snapshot_model, rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrieVsMapProperty, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));

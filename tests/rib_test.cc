@@ -282,7 +282,7 @@ TEST(RibTest, InterningMakesRouteCopiesShareAttrStorage) {
   const Route* old_route = snap.BestRoute(P("10.0.0.0/8"));
   ASSERT_NE(old_route, nullptr);
   Route rebuilt = MakeRoute(1, 100, {100, 200});
-  EXPECT_EQ(old_route->attrs.ptr().get(), rebuilt.attrs.ptr().get())
+  EXPECT_EQ(&old_route->attrs.get(), &rebuilt.attrs.get())
       << "equal attribute values must resolve to one interned node";
 }
 

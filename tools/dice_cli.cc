@@ -285,10 +285,10 @@ StatusOr<RemoteDomainParts> BuildRemoteDomainParts(const std::string& path,
     gen_options.seed = seed;
     gen_options.prefix_count = prefixes;
     trace::TraceGenerator generator(gen_options);
-    for (const trace::TraceEvent& ev : generator.FullDump().events) {
+    generator.StreamFullDump([&](const trace::TraceEvent& ev) {
       bgp::ProcessUpdate(parts.state, {table_view}, table_view, table_neighbor, ev.update,
                          discard);
-    }
+    });
     if (store != nullptr) {
       auto saved = store->Save(persist::SerializeRouterState(parts.state, fingerprint));
       if (!saved.ok()) {
@@ -551,10 +551,10 @@ int Run(int argc, char** argv) {
       gen_options.seed = seed;
       gen_options.prefix_count = prefixes;
       trace::TraceGenerator generator(gen_options);
-      for (const trace::TraceEvent& ev : generator.FullDump().events) {
+      generator.StreamFullDump([&](const trace::TraceEvent& ev) {
         bgp::ProcessUpdate(state, {table_view}, table_view, *table_neighbor, ev.update, discard);
         loaded += ev.update.nlri.size();
-      }
+      });
       std::printf("loaded synthetic table: %zu prefixes (use --trace= for real data)\n", loaded);
     }
     // Extra routes planted into the table, e.g. --inject=203.0.113.0/24:64500
