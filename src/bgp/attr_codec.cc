@@ -1,5 +1,7 @@
 #include "src/bgp/attr_codec.h"
 
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 #include "src/util/strings.h"
@@ -164,27 +166,61 @@ Status DecodeAttrs(ByteReader& r, const char* what, PathAttributes& a) {
   return Status::Ok();
 }
 
-uint32_t AttrTable::IndexOf(const InternedAttrs& attrs) {
-  const PathAttributes* p = &attrs.get();
-  auto it = index_.find(p);
-  if (it != index_.end()) {
-    return it->second;
-  }
-  uint32_t idx = static_cast<uint32_t>(attrs_.size());
-  attrs_.push_back(attrs);
-  index_.emplace(p, idx);
-  return idx;
+size_t AttrTable::Home(const PathAttributes* key) const {
+  return static_cast<size_t>((reinterpret_cast<uintptr_t>(key) * 0x9e3779b97f4a7c15ULL) >>
+                             shift_);
 }
 
-void AttrTable::Serialize(ByteWriter& w) const {
+uint32_t AttrTable::IndexOf(const InternedAttrs& attrs) {
+  const PathAttributes* key = &attrs.get();
+  if (!slots_.empty()) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Home(key); slots_[i].key != nullptr; i = (i + 1) & mask) {
+      if (slots_[i].key == key) {
+        return slots_[i].index;
+      }
+    }
+  }
+  if ((attrs_.size() + 1) * 4 > slots_.size() * 3) {
+    Grow();
+  }
+  const uint32_t index = static_cast<uint32_t>(attrs_.size());
+  Place(Slot{key, index});
+  attrs_.push_back(attrs);
+  return index;
+}
+
+void AttrTable::Place(Slot slot) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(slot.key);
+  while (slots_[i].key != nullptr) {
+    i = (i + 1) & mask;
+  }
+  slots_[i] = slot;
+}
+
+void AttrTable::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
+  for (const Slot& slot : old) {
+    if (slot.key != nullptr) {
+      Place(slot);
+    }
+  }
+}
+
+Status AttrTable::Serialize(FrameWriter& frame) const {
+  ByteWriter& w = frame.body();
   w.PutU32(static_cast<uint32_t>(attrs_.size()));
   for (const InternedAttrs& handle : attrs_) {
-    const PathAttributes& a = handle.get();
     // Stored structural hash: a second corruption tripwire beyond the frame
     // checksum, and the key the intern table reloads under.
-    w.PutU64(HashAttrs(a));
-    EncodeAttrs(w, a);
+    w.PutU64(handle.hash());
+    EncodeAttrs(w, handle.get());
+    DICE_RETURN_IF_ERROR(frame.Drain());
   }
+  return Status::Ok();
 }
 
 size_t AttrTable::SerializedSize() const {
@@ -207,17 +243,18 @@ Status LoadAttrTable(ByteReader& r, const char* what, std::vector<InternedAttrs>
     DICE_ASSIGN_OR_RETURN(uint64_t stored_hash, r.ReadU64());
     PathAttributes a;
     DICE_RETURN_IF_ERROR(DecodeAttrs(r, what, a));
-    // The stored structural hash must match the re-hashed decoded value:
-    // catches any corruption the frame checksum happened to miss and any
-    // decode drift between writer and reader.
-    const uint64_t actual = HashAttrs(a);
-    if (actual != stored_hash) {
+    // Re-interns in this process, hashing the set once. The stored
+    // structural hash must match the decoded value's: catches any corruption
+    // the frame checksum happened to miss and any decode drift between
+    // writer and reader.
+    InternedAttrs interned(std::move(a));
+    if (interned.hash() != stored_hash) {
       return InvalidArgumentError(StrFormat(
           "%s: attribute %u hash mismatch (stored %016llx, decoded %016llx)", what, i,
           static_cast<unsigned long long>(stored_hash),
-          static_cast<unsigned long long>(actual)));
+          static_cast<unsigned long long>(interned.hash())));
     }
-    out.emplace_back(std::move(a));  // re-interns in this process
+    out.push_back(std::move(interned));
   }
   return Status::Ok();
 }

@@ -83,6 +83,8 @@ class InternedAttrs {
   const PathAttributes& operator*() const { return node_->attrs; }
   const PathAttributes* operator->() const { return &node_->attrs; }
   const PathAttributes& get() const { return node_->attrs; }
+  // HashAttrs(get()), computed once when the set was interned.
+  uint64_t hash() const { return node_->hash; }
 
   friend bool operator==(const InternedAttrs& a, const InternedAttrs& b) {
     return a.node_ == b.node_;

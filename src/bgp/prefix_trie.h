@@ -2,12 +2,27 @@
 //
 // This is both the router's RIB data structure (longest-prefix match, exact
 // match, ordered walk) and the mechanism behind DiCE's cheap checkpoints: a
-// snapshot is one shared_ptr copy, and mutations path-copy only the nodes on
-// the way to the change while everything else stays structurally shared —
-// the user-space analogue of fork()'s copy-on-write pages that the paper's
-// §4.1 memory measurements rely on. When a node is not shared (use_count()==1
-// along the spine) mutation happens in place, so a non-snapshotted trie
-// behaves like an ordinary mutable radix tree.
+// snapshot is one handle copy, and mutations path-copy only the nodes on the
+// way to the change while everything else stays structurally shared — the
+// user-space analogue of fork()'s copy-on-write pages that the paper's §4.1
+// memory measurements rely on, so the size of a node is checkpoint memory.
+//
+// Layout. Each node is one heap allocation,
+// {std::atomic<uint32_t> refs; Prefix key; NodePtr child[2]; std::optional<V>
+// value}, where NodePtr is an 8-byte handle to a child node and `refs` counts
+// the handles (tries and parent nodes) that hold the node: 72 bytes for a
+// RibEntry node, 48 for an Adj-RIB-Out node.
+//
+// Count protocol (the guarantee std::shared_ptr gives, so a snapshot may be
+// copied or dropped on another thread than the one mutating its original):
+//   - copying a handle is a relaxed increment;
+//   - dropping one is an acq_rel decrement, and the drop that reaches zero
+//     frees the node (which drops its children in turn);
+//   - a mutation owns each node on its path first (Own): it writes a node in
+//     place only when an acquire load reads refs == 1 — no snapshot can see
+//     it — and otherwise swaps a shallow copy (children shared) into the
+//     slot. A non-snapshotted trie therefore behaves like an ordinary mutable
+//     radix tree.
 //
 // Sharing statistics between two tries (SharingStats) are exact, by pointer
 // identity, and feed the checkpoint PageAccountant.
@@ -15,9 +30,10 @@
 #ifndef SRC_BGP_PREFIX_TRIE_H_
 #define SRC_BGP_PREFIX_TRIE_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_set>
 #include <utility>
@@ -30,6 +46,67 @@ namespace dice::bgp {
 
 template <typename V>
 class PrefixTrie {
+  struct Node;
+
+  // An owning handle to one node: copying it shares the node, destroying it
+  // drops a reference (see the count protocol above).
+  class NodePtr {
+   public:
+    NodePtr() = default;
+    // Adopts a node fresh from `new` (refs == 1).
+    explicit NodePtr(Node* node) : node_(node) {}
+    NodePtr(const NodePtr& other) noexcept : node_(other.node_) { Retain(node_); }
+    NodePtr(NodePtr&& other) noexcept : node_(std::exchange(other.node_, nullptr)) {}
+    NodePtr& operator=(const NodePtr& other) noexcept {
+      Retain(other.node_);  // before the release: safe on self-assignment
+      Release(std::exchange(node_, other.node_));
+      return *this;
+    }
+    NodePtr& operator=(NodePtr&& other) noexcept {
+      Release(std::exchange(node_, std::exchange(other.node_, nullptr)));
+      return *this;
+    }
+    ~NodePtr() { Release(node_); }
+
+    Node* get() const { return node_; }
+    Node& operator*() const { return *node_; }
+    Node* operator->() const { return node_; }
+    friend bool operator==(const NodePtr& p, std::nullptr_t) { return p.node_ == nullptr; }
+
+    // True when this handle is the node's only holder, so it may be written
+    // in place. The acquire pairs with the release half of the drops that
+    // brought refs down to 1: their reads of the node happen before our writes.
+    bool unique() const { return node_->refs.load(std::memory_order_acquire) == 1; }
+
+   private:
+    static void Retain(Node* node) {
+      if (node != nullptr) {
+        node->refs.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    static void Release(Node* node) {
+      if (node != nullptr && node->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        delete node;
+      }
+    }
+
+    Node* node_ = nullptr;
+  };
+
+  struct Node {
+    Node(const Prefix& k, std::optional<V> v) : key(k), value(std::move(v)) {}
+    // A shallow copy for Own: the children become shared, the count starts
+    // at 1 for the handle the copy is adopted by.
+    Node(const Node& other) : key(other.key), child{other.child[0], other.child[1]},
+                              value(other.value) {}
+    Node& operator=(const Node&) = delete;
+
+    std::atomic<uint32_t> refs{1};
+    Prefix key;
+    NodePtr child[2];
+    std::optional<V> value;
+  };
+
  public:
   PrefixTrie() = default;
 
@@ -62,14 +139,13 @@ class PrefixTrie {
         slot = &Own(*slot).child[BitAt(prefix.address().bits(), common)];
         continue;
       }
-      NodePtr above = std::make_shared<Node>();
+      NodePtr above;
       if (common == prefix.length()) {
         // prefix is an ancestor of node.key: new node above.
-        above->key = prefix;
-        above->value = std::move(value);
+        above = Leaf(prefix, std::move(value));
       } else {
         // Diverge: internal node at the common prefix, both below it.
-        above->key = Prefix::Make(prefix.address(), common);
+        above = NodePtr(new Node(Prefix::Make(prefix.address(), common), std::nullopt));
         above->child[BitAt(prefix.address().bits(), common)] = Leaf(prefix, std::move(value));
       }
       above->child[BitAt(node.key.address().bits(), common)] = std::move(*slot);
@@ -170,7 +246,7 @@ class PrefixTrie {
   }
 
   void Clear() {
-    root_.reset();
+    root_ = NodePtr();
     size_ = 0;
   }
 
@@ -208,17 +284,11 @@ class PrefixTrie {
     return stats;
   }
 
-  // Approximate heap bytes per node, used by the checkpoint page accounting.
-  static constexpr size_t kNodeBytes = sizeof(void*) * 4 + sizeof(Prefix) + sizeof(V);
+  // Heap bytes per node (one allocation each), used by the checkpoint page
+  // accounting.
+  static constexpr size_t kNodeBytes = sizeof(Node);
 
  private:
-  struct Node {
-    Prefix key;
-    std::optional<V> value;
-    std::shared_ptr<Node> child[2];
-  };
-  using NodePtr = std::shared_ptr<Node>;
-
   static int BitAt(uint32_t bits, uint8_t position) {
     DICE_CHECK_LT(position, 32);
     return (bits >> (31 - position)) & 1;
@@ -240,16 +310,13 @@ class PrefixTrie {
   // replaces it in the slot, leaving the original to the snapshots that
   // hold it. The slot must itself belong to an owned node (or be the root).
   static Node& Own(NodePtr& slot) {
-    if (slot.use_count() != 1) {
-      slot = std::make_shared<Node>(*slot);
+    if (!slot.unique()) {
+      slot = NodePtr(new Node(*slot));
     }
     return *slot;
   }
   static NodePtr Leaf(const Prefix& prefix, V&& value) {
-    auto leaf = std::make_shared<Node>();
-    leaf->key = prefix;
-    leaf->value = std::move(value);
-    return leaf;
+    return NodePtr(new Node(prefix, std::move(value)));
   }
 
   const Node* FindNode(const Prefix& prefix) const {

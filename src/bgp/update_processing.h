@@ -31,7 +31,7 @@ struct RouterState {
   std::shared_ptr<const RouterConfig> config;
   Rib rib;
   // What has been advertised to each peer (prefix -> interned attributes as
-  // sent). Interning makes the per-entry payload one shared_ptr.
+  // sent). Interning makes the per-entry payload one 8-byte handle.
   std::map<PeerId, PrefixTrie<InternedAttrs>> adj_out;
 
   // Statistics (cheap, copied with the state).

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/strings.h"
 
@@ -84,24 +85,72 @@ StatusOr<Bytes> PosixEnv::ReadFile(const std::string& path) {
   return out;
 }
 
-Status PosixEnv::WriteFile(const std::string& path, const Bytes& data) {
-  Fd f;
-  f.fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (f.fd < 0) {
+namespace {
+
+// write(2)/pwrite(2) through an fd owned by the file.
+class PosixWritableFile final : public WritableFile {
+ public:
+  PosixWritableFile(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
+  PosixWritableFile(const PosixWritableFile&) = delete;
+  PosixWritableFile& operator=(const PosixWritableFile&) = delete;
+  ~PosixWritableFile() override {
+    if (fd_ >= 0) {
+      ::close(fd_);
+    }
+  }
+
+  Status Append(const uint8_t* data, size_t size) override {
+    while (size > 0) {
+      ssize_t n = ::write(fd_, data, size);
+      if (n < 0) {
+        if (errno == EINTR) {
+          continue;
+        }
+        return ErrnoStatus("write", path_, errno);
+      }
+      data += n;
+      size -= static_cast<size_t>(n);
+    }
+    return Status::Ok();
+  }
+
+  Status WriteAt(uint64_t offset, const uint8_t* data, size_t size) override {
+    while (size > 0) {
+      ssize_t n = ::pwrite(fd_, data, size, static_cast<off_t>(offset));
+      if (n < 0) {
+        if (errno == EINTR) {
+          continue;
+        }
+        return ErrnoStatus("pwrite", path_, errno);
+      }
+      data += n;
+      size -= static_cast<size_t>(n);
+      offset += static_cast<uint64_t>(n);
+    }
+    return Status::Ok();
+  }
+
+  Status Close() override {
+    const int fd = std::exchange(fd_, -1);
+    if (fd >= 0 && ::close(fd) != 0) {
+      return ErrnoStatus("close", path_, errno);
+    }
+    return Status::Ok();
+  }
+
+ private:
+  std::string path_;
+  int fd_;
+};
+
+}  // namespace
+
+StatusOr<std::unique_ptr<WritableFile>> PosixEnv::NewWritableFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
     return ErrnoStatus("open", path, errno);
   }
-  size_t written = 0;
-  while (written < data.size()) {
-    ssize_t n = ::write(f.fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return ErrnoStatus("write", path, errno);
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::Ok();
+  return std::unique_ptr<WritableFile>(new PosixWritableFile(path, fd));
 }
 
 Status PosixEnv::RenameFile(const std::string& from, const std::string& to) {
@@ -205,59 +254,106 @@ StatusOr<Bytes> FaultInjectingEnv::ReadFile(const std::string& path) {
   return base_.ReadFile(path);
 }
 
-Status FaultInjectingEnv::WriteFile(const std::string& path, const Bytes& data) {
+// Every file the decorator opens: once the power is off it fails like the
+// rest of the env, and the file whose open was the trigger op carries the
+// plan's write fault, placed by byte offset within the whole file.
+class FaultInjectingEnv::File final : public WritableFile {
+ public:
+  File(FaultInjectingEnv& env, std::string path, std::unique_ptr<WritableFile> base,
+       bool faulty)
+      : env_(env), path_(std::move(path)), base_(std::move(base)), faulty_(faulty) {}
+
+  Status Append(const uint8_t* data, size_t size) override {
+    if (env_.dead_) {
+      return env_.DeadStatus();
+    }
+    const uint64_t offset = size_;
+    size_ += size;
+    if (faulty_ && Cuts() && env_.plan_.boundary < offset + size) {
+      // The cut falls in this write: keep the bytes before it, then fail.
+      const uint64_t boundary = env_.plan_.boundary;
+      DICE_RETURN_IF_ERROR(
+          base_->Append(data, boundary > offset ? static_cast<size_t>(boundary - offset) : 0));
+      return Cut();
+    }
+    Bytes scratch;
+    return base_->Append(Flipped(offset, data, size, scratch), size);
+  }
+
+  Status WriteAt(uint64_t offset, const uint8_t* data, size_t size) override {
+    if (env_.dead_) {
+      return env_.DeadStatus();
+    }
+    Bytes scratch;
+    return base_->WriteAt(offset, Flipped(offset, data, size, scratch), size);
+  }
+
+  Status Close() override {
+    Status closed = base_->Close();
+    if (env_.dead_) {
+      return env_.DeadStatus();
+    }
+    DICE_RETURN_IF_ERROR(closed);
+    if (faulty_ && Cuts() && !env_.fired_) {
+      return Cut();  // the cut lies at or past the end: the whole file stays
+    }
+    return Status::Ok();
+  }
+
+ private:
+  bool Cuts() const {
+    const FaultKind kind = env_.plan_.kind;
+    return kind == FaultKind::kShortWrite || kind == FaultKind::kTornWrite ||
+           kind == FaultKind::kNoSpace;
+  }
+
+  // Fires the cut: kTornWrite also turns the power off.
+  Status Cut() {
+    env_.fired_ = true;
+    const size_t boundary = env_.plan_.boundary;
+    switch (env_.plan_.kind) {
+      case FaultKind::kTornWrite:
+        env_.dead_ = true;
+        return InternalError(
+            StrFormat("injected torn write at byte %zu of %s", boundary, path_.c_str()));
+      case FaultKind::kNoSpace:
+        return ResourceExhaustedError(
+            StrFormat("injected ENOSPC after byte %zu of %s", boundary, path_.c_str()));
+      default:
+        return InternalError(
+            StrFormat("injected short write at byte %zu of %s", boundary, path_.c_str()));
+    }
+  }
+
+  // The bytes to write for [offset, offset + size): `data` itself, or a copy
+  // in `scratch` with the plan's bit flipped when its byte lies in the range.
+  const uint8_t* Flipped(uint64_t offset, const uint8_t* data, size_t size, Bytes& scratch) {
+    const uint64_t byte = env_.plan_.boundary / 8;
+    if (!faulty_ || env_.plan_.kind != FaultKind::kBitFlip || byte < offset ||
+        byte - offset >= size) {
+      return data;
+    }
+    env_.fired_ = true;
+    scratch.assign(data, data + size);
+    scratch[byte - offset] ^= static_cast<uint8_t>(1u << (env_.plan_.boundary % 8));
+    return scratch.data();
+  }
+
+  FaultInjectingEnv& env_;
+  const std::string path_;
+  const std::unique_ptr<WritableFile> base_;
+  const bool faulty_;  // this file's open was the trigger op
+  uint64_t size_ = 0;  // bytes appended so far
+};
+
+StatusOr<std::unique_ptr<WritableFile>> FaultInjectingEnv::NewWritableFile(
+    const std::string& path) {
   if (dead_) {
     return DeadStatus();
   }
-  if (!AtTrigger()) {
-    return base_.WriteFile(path, data);
-  }
-  switch (plan_.kind) {
-    case FaultKind::kShortWrite: {
-      fired_ = true;
-      Bytes prefix(data.begin(), data.begin() + std::min(plan_.boundary, data.size()));
-      Status s = base_.WriteFile(path, prefix);
-      if (!s.ok()) {
-        return s;
-      }
-      return InternalError(StrFormat("injected short write at byte %zu of %s",
-                                     plan_.boundary, path.c_str()));
-    }
-    case FaultKind::kTornWrite: {
-      fired_ = true;
-      dead_ = true;
-      Bytes prefix(data.begin(), data.begin() + std::min(plan_.boundary, data.size()));
-      Status s = base_.WriteFile(path, prefix);
-      if (!s.ok()) {
-        return s;
-      }
-      return InternalError(StrFormat("injected torn write at byte %zu of %s",
-                                     plan_.boundary, path.c_str()));
-    }
-    case FaultKind::kBitFlip: {
-      fired_ = true;
-      Bytes flipped = data;
-      if (!flipped.empty()) {
-        size_t bit = plan_.boundary % (flipped.size() * 8);
-        flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      }
-      return base_.WriteFile(path, flipped);  // reports success: silent corruption
-    }
-    case FaultKind::kNoSpace: {
-      fired_ = true;
-      Bytes prefix(data.begin(), data.begin() + std::min(plan_.boundary, data.size()));
-      Status s = base_.WriteFile(path, prefix);
-      if (!s.ok()) {
-        return s;
-      }
-      return ResourceExhaustedError(
-          StrFormat("injected ENOSPC after byte %zu of %s", plan_.boundary, path.c_str()));
-    }
-    case FaultKind::kNone:
-    case FaultKind::kFsyncFail:
-      return base_.WriteFile(path, data);
-  }
-  return base_.WriteFile(path, data);
+  const bool faulty = AtTrigger();
+  DICE_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> base, base_.NewWritableFile(path));
+  return std::unique_ptr<WritableFile>(new File(*this, path, std::move(base), faulty));
 }
 
 Status FaultInjectingEnv::RenameFile(const std::string& from, const std::string& to) {
@@ -334,9 +430,22 @@ std::string JoinPath(const std::string& dir, const std::string& name) {
   return dir + "/" + name;
 }
 
-Status AtomicWriteFile(Env& env, const std::string& path, const Bytes& data) {
+Status Env::WriteFile(const std::string& path, const FileProducer& produce) {
+  DICE_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file, NewWritableFile(path));
+  const Status produced = produce(*file);
+  const Status closed = file->Close();
+  return produced.ok() ? closed : produced;
+}
+
+Status Env::WriteFile(const std::string& path, const Bytes& data) {
+  return WriteFile(path, [&data](WritableFile& file) {
+    return file.Append(data.data(), data.size());
+  });
+}
+
+Status AtomicWriteFile(Env& env, const std::string& path, const FileProducer& produce) {
   const std::string tmp = path + ".tmp";
-  Status s = env.WriteFile(tmp, data);
+  Status s = env.WriteFile(tmp, produce);
   if (!s.ok()) {
     (void)env.DeleteFile(tmp);  // best effort; the partial temp is garbage
     return s;
@@ -356,6 +465,12 @@ Status AtomicWriteFile(Env& env, const std::string& path, const Bytes& data) {
   size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
   return env.SyncDir(dir);
+}
+
+Status AtomicWriteFile(Env& env, const std::string& path, const Bytes& data) {
+  return AtomicWriteFile(env, path, [&data](WritableFile& file) {
+    return file.Append(data.data(), data.size());
+  });
 }
 
 }  // namespace dice::persist

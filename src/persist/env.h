@@ -6,6 +6,14 @@
 // bit flips, ENOSPC, and fsync failure all come out of the same code path
 // the production PosixEnv exercises.
 //
+// Writing is streamed. An Env has one write primitive, NewWritableFile: a
+// WritableFile takes the file's bytes in order (Append), may overwrite bytes
+// it already took (WriteAt: a frame's checksum, known only at the end), and
+// is closed once. WriteFile and AtomicWriteFile are built on it and take a
+// producer that writes into the open file, so a snapshot is written chunk by
+// chunk and never held whole in memory; their Bytes forms wrap a producer
+// that appends one buffer.
+//
 // The durability building block is AtomicWriteFile: write `path + ".tmp"`,
 // fsync the temp, rename over `path`, fsync the parent directory. A crash at
 // any point leaves either the old file intact or the new file complete —
@@ -16,10 +24,13 @@
 #define SRC_PERSIST_ENV_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/frame.h"
 #include "src/util/status.h"
 
 namespace dice::persist {
@@ -28,14 +39,31 @@ using ::dice::Bytes;
 using ::dice::Status;
 using ::dice::StatusOr;
 
+// A file open for writing (see the header comment). Nothing written is
+// durable before Env::SyncFile; Close releases the file and reports a
+// deferred write error. The destructor closes a file left open.
+class WritableFile : public ByteSink {
+ public:
+  [[nodiscard]] virtual Status Close() = 0;
+};
+
+// Writes a file's content into the open file; a non-Ok Status aborts the
+// write.
+using FileProducer = std::function<Status(WritableFile&)>;
+
 class Env {
  public:
   virtual ~Env() = default;
 
   [[nodiscard]] virtual StatusOr<Bytes> ReadFile(const std::string& path) = 0;
-  // Creates/truncates `path` and writes the whole buffer. NOT atomic on its
-  // own — use AtomicWriteFile for anything that must survive a crash.
-  [[nodiscard]] virtual Status WriteFile(const std::string& path, const Bytes& data) = 0;
+  // Creates/truncates `path` and opens it for writing: the one write
+  // primitive every Env implements.
+  [[nodiscard]] virtual StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) = 0;
+  // Creates/truncates `path`, hands it to `produce` and closes it. NOT atomic
+  // on its own — use AtomicWriteFile for anything that must survive a crash.
+  [[nodiscard]] Status WriteFile(const std::string& path, const FileProducer& produce);
+  [[nodiscard]] Status WriteFile(const std::string& path, const Bytes& data);
   [[nodiscard]] virtual Status RenameFile(const std::string& from, const std::string& to) = 0;
   [[nodiscard]] virtual Status DeleteFile(const std::string& path) = 0;
   // Regular-file names in `dir`, sorted (deterministic across platforms).
@@ -56,7 +84,8 @@ class Env {
 class PosixEnv : public Env {
  public:
   [[nodiscard]] StatusOr<Bytes> ReadFile(const std::string& path) override;
-  [[nodiscard]] Status WriteFile(const std::string& path, const Bytes& data) override;
+  [[nodiscard]] StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override;
   [[nodiscard]] Status RenameFile(const std::string& from, const std::string& to) override;
   [[nodiscard]] Status DeleteFile(const std::string& path) override;
   [[nodiscard]] StatusOr<std::vector<std::string>> ListDir(const std::string& dir) override;
@@ -68,23 +97,31 @@ class PosixEnv : public Env {
 };
 
 // The faults the snapshot layer must survive. Each fires once, at the Nth
-// mutating operation after Arm() (writes, renames, deletes, and syncs all
-// count), under deterministic control — no randomness, so a failing matrix
-// cell replays exactly.
+// mutating operation after Arm(), under deterministic control — no
+// randomness, so a failing matrix cell replays exactly. Writing one file
+// (NewWritableFile through Close, however many Appends) is one mutating op;
+// renames, deletes, and syncs count one each.
+//
+// A write fault lands at a byte offset within the whole file, wherever the
+// chunks it was written in begin and end: the cut kinds keep the file's
+// first `boundary` bytes and fail the Append that crosses that offset (or
+// Close, when the file ends before it), and a bit flip corrupts every write
+// of its byte — the Append and any later WriteAt over it alike.
 enum class FaultKind : uint8_t {
   kNone = 0,
-  // WriteFile persists only the first `boundary` bytes and returns an error
-  // (a failed write the caller observes and can clean up after).
+  // The file keeps only its first `boundary` bytes and the write returns an
+  // error (a failed write the caller observes and can clean up after).
   kShortWrite,
-  // WriteFile persists only the first `boundary` bytes and the process
-  // "loses power": this and every later operation fails. What's on disk is
-  // exactly what a kill at that byte boundary leaves.
+  // The file keeps only its first `boundary` bytes and the process "loses
+  // power": this and every later operation fails. What's on disk is exactly
+  // what a kill at that byte boundary leaves.
   kTornWrite,
-  // WriteFile flips bit `boundary` (bit index into the buffer) and reports
-  // success — silent media corruption, detectable only by the checksum.
+  // Bit `boundary` of the file (a bit index from its first byte) is flipped
+  // and the write reports success — silent media corruption, detectable only
+  // by the checksum. A bit past the end of the file never fires.
   kBitFlip,
-  // WriteFile persists a partial prefix and returns ResourceExhausted, the
-  // way a full disk actually fails mid-write.
+  // The file keeps a partial prefix and the write returns ResourceExhausted,
+  // the way a full disk actually fails mid-write.
   kNoSpace,
   // SyncFile/SyncDir fails; the preceding write's durability is void.
   kFsyncFail,
@@ -94,8 +131,8 @@ struct FaultPlan {
   FaultKind kind = FaultKind::kNone;
   // 0-based index of the mutating operation the fault fires at.
   uint64_t trigger_op = 0;
-  // kShortWrite/kTornWrite/kNoSpace: bytes persisted before the cut.
-  // kBitFlip: bit index into the written buffer.
+  // kShortWrite/kTornWrite/kNoSpace: bytes of the file kept before the cut.
+  // kBitFlip: bit index into the file.
   size_t boundary = 0;
 };
 
@@ -115,7 +152,8 @@ class FaultInjectingEnv : public Env {
   bool fired() const { return fired_; }
 
   [[nodiscard]] StatusOr<Bytes> ReadFile(const std::string& path) override;
-  [[nodiscard]] Status WriteFile(const std::string& path, const Bytes& data) override;
+  [[nodiscard]] StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override;
   [[nodiscard]] Status RenameFile(const std::string& from, const std::string& to) override;
   [[nodiscard]] Status DeleteFile(const std::string& path) override;
   [[nodiscard]] StatusOr<std::vector<std::string>> ListDir(const std::string& dir) override;
@@ -126,6 +164,7 @@ class FaultInjectingEnv : public Env {
   uint64_t NowMicros() override { return base_.NowMicros(); }
 
  private:
+  class File;  // env.cc: a base file with the plan's write fault applied
   // True iff the current mutating op is the trigger; advances the counter.
   bool AtTrigger();
   [[nodiscard]] Status DeadStatus() const;
@@ -137,9 +176,11 @@ class FaultInjectingEnv : public Env {
   bool dead_ = false;  // torn write happened: the process is "off"
 };
 
-// Durably replaces `path` with `data`: temp write -> fsync -> rename ->
-// fsync parent dir. On any failure the temp file is best-effort removed and
-// `path` is untouched.
+// Durably replaces `path` with what `produce` writes: temp write -> fsync ->
+// rename -> fsync parent dir. On any failure the temp file is best-effort
+// removed and `path` is untouched.
+[[nodiscard]] Status AtomicWriteFile(Env& env, const std::string& path,
+                                     const FileProducer& produce);
 [[nodiscard]] Status AtomicWriteFile(Env& env, const std::string& path, const Bytes& data);
 
 // "<dir>/<name>" with exactly one separator.

@@ -1,7 +1,5 @@
 #include "src/persist/router_state_snapshot.h"
 
-#include <algorithm>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -9,6 +7,7 @@
 #include "src/bgp/attr_intern.h"
 #include "src/bgp/wire.h"
 #include "src/util/frame.h"
+#include "src/util/logging.h"
 #include "src/util/strings.h"
 
 namespace dice::persist {
@@ -16,9 +15,12 @@ namespace dice::persist {
 namespace {
 
 using ::dice::ByteReader;
+using ::dice::ByteSink;
+using ::dice::BytesSink;
 using ::dice::ByteWriter;
 using ::dice::FailedPreconditionError;
 using ::dice::FrameWriter;
+using ::dice::kFrameHeaderSize;
 using ::dice::InvalidArgumentError;
 using ::dice::StrFormat;
 using ::dice::bgp::AttrTable;
@@ -47,11 +49,12 @@ uint64_t StateFingerprint(std::string_view config_text, const Bytes& table_sourc
   return dice::ExtendChecksum(checksum, data(inject_spec), inject_spec.size());
 }
 
-Bytes SerializeRouterState(const RouterState& state, uint64_t config_fingerprint) {
-  // Pass 1: assign attribute indices over the same deterministic walk the
-  // body serializer makes, so references are first-encounter-ordered, and
-  // size the body so the frame is written in one exact allocation.
-  AttrTable table;
+namespace {
+
+// Walk 1: assigns attribute indices over the same deterministic walk the
+// writer makes, so references are first-encounter-ordered. Returns the size
+// of everything in the body after the attribute table.
+size_t IndexAttrs(const RouterState& state, AttrTable& table) {
   // Sequence counter, prefix count, peer count, six processing counters.
   size_t tail_size = 8 + 4 + 4 + 6 * 8;
   state.rib.Walk([&](const Prefix& prefix, const RibEntry& entry) {
@@ -72,16 +75,20 @@ Bytes SerializeRouterState(const RouterState& state, uint64_t config_fingerprint
       return true;
     });
   }
+  return tail_size;
+}
 
-  FrameWriter frame(kRouterStateSnapshotMagic, kRouterStateSnapshotVersion,
-                    8 + table.SerializedSize() + tail_size);
+// Walk 2: writes the frame, draining it after every record, and finishes it.
+Status WriteFrame(const RouterState& state, uint64_t config_fingerprint, AttrTable& table,
+                  FrameWriter& frame) {
   ByteWriter& body = frame.body();
   body.PutU64(config_fingerprint);
-  table.Serialize(body);
+  DICE_RETURN_IF_ERROR(table.Serialize(frame));
 
   // RIB: sequence counter, then entries in prefix order.
   body.PutU64(state.rib.next_sequence());
   body.PutU32(static_cast<uint32_t>(state.rib.PrefixCount()));
+  Status drained;
   state.rib.Walk([&](const Prefix& prefix, const RibEntry& entry) {
     dice::bgp::EncodePrefix(body, prefix);
     body.PutU32(static_cast<uint32_t>(entry.routes.size()));
@@ -93,8 +100,10 @@ Bytes SerializeRouterState(const RouterState& state, uint64_t config_fingerprint
     }
     body.PutU32(entry.best == RibEntry::kNoBest ? kNoBestWire
                                                 : static_cast<uint32_t>(entry.best));
-    return true;
+    drained = frame.Drain();
+    return drained.ok();
   });
+  DICE_RETURN_IF_ERROR(drained);
 
   // Adj-RIB-Out, per peer in map (ascending PeerId) order.
   body.PutU32(static_cast<uint32_t>(state.adj_out.size()));
@@ -104,8 +113,10 @@ Bytes SerializeRouterState(const RouterState& state, uint64_t config_fingerprint
     trie.Walk([&](const Prefix& prefix, const InternedAttrs& attrs) {
       dice::bgp::EncodePrefix(body, prefix);
       body.PutU32(table.IndexOf(attrs));
-      return true;
+      drained = frame.Drain();
+      return drained.ok();
     });
+    DICE_RETURN_IF_ERROR(drained);
   }
 
   body.PutU64(state.updates_processed);
@@ -114,8 +125,27 @@ Bytes SerializeRouterState(const RouterState& state, uint64_t config_fingerprint
   body.PutU64(state.routes_accepted);
   body.PutU64(state.routes_filtered);
   body.PutU64(state.routes_loop_rejected);
-
   return frame.Finish();
+}
+
+}  // namespace
+
+Status SerializeRouterState(const RouterState& state, uint64_t config_fingerprint,
+                            ByteSink& sink) {
+  AttrTable table;
+  IndexAttrs(state, table);
+  FrameWriter frame(sink, kRouterStateSnapshotMagic, kRouterStateSnapshotVersion);
+  return WriteFrame(state, config_fingerprint, table, frame);
+}
+
+Bytes SerializeRouterState(const RouterState& state, uint64_t config_fingerprint) {
+  AttrTable table;
+  const size_t tail_size = IndexAttrs(state, table);
+  BytesSink sink(kFrameHeaderSize + 8 + table.SerializedSize() + tail_size);
+  FrameWriter frame(sink, kRouterStateSnapshotMagic, kRouterStateSnapshotVersion);
+  const Status written = WriteFrame(state, config_fingerprint, table, frame);
+  DICE_CHECK(written.ok()) << written.ToString();  // memory does not fail
+  return sink.Take();
 }
 
 StatusOr<RouterState> LoadRouterState(const Bytes& bytes,

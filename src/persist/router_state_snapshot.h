@@ -23,6 +23,7 @@
 
 #include "src/bgp/update_processing.h"
 #include "src/util/bytes.h"
+#include "src/util/frame.h"
 #include "src/util/status.h"
 
 namespace dice::persist {
@@ -40,6 +41,13 @@ constexpr uint16_t kRouterStateSnapshotVersion = 1;
 uint64_t StateFingerprint(std::string_view config_text, const Bytes& table_source,
                           std::string_view inject_spec);
 
+// Streams the snapshot of `state` into `sink` — a file being written, say —
+// holding at most one FrameWriter chunk of it. A first walk over the state
+// indexes its attribute sets (a flat table keyed by intern node), a second
+// writes. A sink error stops the write and is returned.
+[[nodiscard]] Status SerializeRouterState(const bgp::RouterState& state,
+                                          uint64_t config_fingerprint, ByteSink& sink);
+// The same bytes in memory, in one allocation of their exact size.
 Bytes SerializeRouterState(const bgp::RouterState& state, uint64_t config_fingerprint);
 
 // Parses `bytes` and rebuilds the state (re-interning every attribute set in

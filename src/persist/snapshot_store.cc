@@ -53,11 +53,11 @@ StatusOr<std::vector<uint64_t>> SnapshotStore::Generations() const {
   return generations;
 }
 
-StatusOr<uint64_t> SnapshotStore::Save(const Bytes& bytes) {
+StatusOr<uint64_t> SnapshotStore::Save(const FileProducer& produce) {
   DICE_RETURN_IF_ERROR(env_.CreateDir(dir_));
   DICE_ASSIGN_OR_RETURN(std::vector<uint64_t> generations, Generations());
   const uint64_t next = generations.empty() ? 1 : generations.back() + 1;
-  DICE_RETURN_IF_ERROR(AtomicWriteFile(env_, FileFor(next), bytes));
+  DICE_RETURN_IF_ERROR(AtomicWriteFile(env_, FileFor(next), produce));
   // Prune: keep the newest kKeepGenerations (including the one just
   // written). Best-effort — a stale extra file only costs disk.
   generations.push_back(next);
@@ -71,6 +71,10 @@ StatusOr<uint64_t> SnapshotStore::Save(const Bytes& bytes) {
     }
   }
   return next;
+}
+
+StatusOr<uint64_t> SnapshotStore::Save(const Bytes& bytes) {
+  return Save([&bytes](WritableFile& file) { return file.Append(bytes.data(), bytes.size()); });
 }
 
 StatusOr<uint64_t> SnapshotStore::LoadLatest(

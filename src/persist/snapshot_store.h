@@ -2,7 +2,7 @@
 //
 // One store manages one named artifact in one directory, as files
 // `<name>.<generation>.snap` (zero-padded, so lexicographic order equals
-// numeric order). Save() writes the next generation through AtomicWriteFile
+// numeric order). Save() streams the next generation through AtomicWriteFile
 // and prunes everything older than the newest two — a crash during Save can
 // therefore never take the previous good generation with it.
 //
@@ -32,9 +32,11 @@ class SnapshotStore {
   // on first Save.
   SnapshotStore(Env& env, std::string dir, std::string name);
 
-  // Writes `bytes` as the next generation (atomic replace), then prunes
-  // generations older than the newest `keep` (default 2). Returns the
-  // generation number written.
+  // Writes what `produce` streams into the file as the next generation
+  // (atomic replace), then prunes generations older than the newest
+  // kKeepGenerations. Returns the generation number written.
+  [[nodiscard]] StatusOr<uint64_t> Save(const FileProducer& produce);
+  // The same for a snapshot already in memory.
   [[nodiscard]] StatusOr<uint64_t> Save(const Bytes& bytes);
 
   // Newest-first: reads each generation and calls `parse` on its bytes.

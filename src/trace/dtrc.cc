@@ -4,6 +4,7 @@
 
 #include "src/bgp/wire.h"
 #include "src/util/frame.h"
+#include "src/util/logging.h"
 #include "src/util/strings.h"
 
 namespace dice::trace {
@@ -59,14 +60,23 @@ Status TraceWriter::Append(const TraceEvent& event) {
   return Status::Ok();
 }
 
-Bytes TraceWriter::Finish() const {
-  FrameWriter frame(kTraceFormatMagic, kTraceFormatVersion,
-                    table_.SerializedSize() + 8 + events_.size());
-  ByteWriter& body = frame.body();
-  table_.Serialize(body);
-  body.PutU64(event_count_);
-  body.PutBytes(events_.bytes());
+Status TraceWriter::Finish(ByteSink& sink) const {
+  FrameWriter frame(sink, kTraceFormatMagic, kTraceFormatVersion);
+  DICE_RETURN_IF_ERROR(table_.Serialize(frame));
+  frame.body().PutU64(event_count_);
+  DICE_RETURN_IF_ERROR(frame.Append(events_.bytes().data(), events_.size()));
   return frame.Finish();
+}
+
+size_t TraceWriter::SerializedSize() const {
+  return kFrameHeaderSize + table_.SerializedSize() + 8 + events_.size();
+}
+
+Bytes TraceWriter::Finish() const {
+  BytesSink sink(SerializedSize());
+  const Status written = Finish(sink);
+  DICE_CHECK(written.ok()) << written.ToString();  // memory does not fail
+  return sink.Take();
 }
 
 StatusOr<TraceReader> TraceReader::Open(const uint8_t* data, size_t size) {

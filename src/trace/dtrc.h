@@ -35,6 +35,7 @@
 #include "src/bgp/attr_codec.h"
 #include "src/trace/trace.h"
 #include "src/util/bytes.h"
+#include "src/util/frame.h"
 #include "src/util/status.h"
 
 namespace dice::trace {
@@ -56,8 +57,14 @@ class TraceWriter {
   uint64_t event_count() const { return event_count_; }
   size_t attr_count() const { return table_.size(); }
 
-  // The complete framed file. The writer stays usable (more Appends produce
-  // a longer trace on the next Finish).
+  // The size of the file Finish writes for the events appended so far.
+  size_t SerializedSize() const;
+
+  // Streams the complete framed file into `sink`, one chunk at a time. The
+  // writer stays usable (more Appends produce a longer trace on the next
+  // Finish).
+  [[nodiscard]] Status Finish(ByteSink& sink) const;
+  // The same file in memory, in one allocation of its exact size.
   Bytes Finish() const;
 
  private:

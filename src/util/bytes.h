@@ -8,6 +8,7 @@
 #ifndef SRC_UTIL_BYTES_H_
 #define SRC_UTIL_BYTES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -75,6 +76,13 @@ class ByteWriter {
   void PatchU8(size_t offset, uint8_t v) {
     DICE_CHECK_LT(offset, buf_.size());
     buf_[offset] = v;
+  }
+
+  // Drops the first `n` bytes, keeping the capacity (for a writer that hands
+  // its front to a sink and keeps filling the rest).
+  void Discard(size_t n) {
+    DICE_CHECK_LE(n, buf_.size());
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(n));
   }
 
   size_t size() const { return buf_.size(); }

@@ -11,10 +11,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "src/bgp/attr_codec.h"
+#include "src/bgp/attr_intern.h"
 #include "src/bgp/wire.h"
 #include "src/trace/dtrc.h"
 #include "src/trace/trace.h"
@@ -192,25 +195,34 @@ TEST(DtrcTest, StreamTraceVisitsEveryEventOfEitherFormat) {
 
 // --- adversarial bytes ------------------------------------------------------
 
+// A checksum-valid .dtrc frame: `table`, then whatever `rest` writes.
+Bytes DtrcFrame(const bgp::AttrTable& table, const std::function<void(ByteWriter&)>& rest) {
+  BytesSink sink;
+  FrameWriter frame(sink, kTraceFormatMagic, kTraceFormatVersion);
+  EXPECT_TRUE(table.Serialize(frame).ok());
+  rest(frame.body());
+  EXPECT_TRUE(frame.Finish().ok());
+  return sink.Take();
+}
+
 // A checksum-valid two-event frame whose second event references attribute
 // index 1 while the table holds one entry: only the reader's range check
 // catches it, after the first event has been decoded.
 Bytes BadSecondEventCorpus() {
   bgp::AttrTable table;
   EXPECT_EQ(table.IndexOf(bgp::InternedAttrs(RichEvent(0).update.attrs)), 0u);
-  ByteWriter body;
-  table.Serialize(body);
-  body.PutU64(2);     // two events
-  body.PutVarU64(0);  // event 0: attr index in range
-  body.PutVarU64(1);  // delta time
-  body.PutVarU64(0);  // withdrawn count
-  body.PutVarU64(1);  // nlri count
-  bgp::EncodePrefix(body, P("198.51.100.0/24"));
-  body.PutVarU64(1);  // event 1: attr index out of range
-  body.PutVarU64(0);
-  body.PutVarU64(0);
-  body.PutVarU64(0);
-  return FrameMessage(kTraceFormatMagic, kTraceFormatVersion, body.bytes());
+  return DtrcFrame(table, [](ByteWriter& body) {
+    body.PutU64(2);     // two events
+    body.PutVarU64(0);  // event 0: attr index in range
+    body.PutVarU64(1);  // delta time
+    body.PutVarU64(0);  // withdrawn count
+    body.PutVarU64(1);  // nlri count
+    bgp::EncodePrefix(body, P("198.51.100.0/24"));
+    body.PutVarU64(1);  // event 1: attr index out of range
+    body.PutVarU64(0);
+    body.PutVarU64(0);
+    body.PutVarU64(0);
+  });
 }
 
 class DtrcCorruption : public ::testing::Test {
@@ -263,15 +275,13 @@ TEST_F(DtrcCorruption, OutOfRangeAttrReferenceIsAnError) {
   bgp::AttrTable table;
   bgp::PathAttributes attrs = RichEvent(0).update.attrs;
   ASSERT_EQ(table.IndexOf(bgp::InternedAttrs(attrs)), 0u);
-  ByteWriter body;
-  table.Serialize(body);
-  body.PutU64(1);     // one event
-  body.PutVarU64(1);  // attr index out of range
-  body.PutVarU64(0);  // delta time
-  body.PutVarU64(0);  // withdrawn count
-  body.PutVarU64(0);  // nlri count
-  auto parsed = ParseTraceBinary(FrameMessage(kTraceFormatMagic, kTraceFormatVersion,
-                                              body.bytes()));
+  auto parsed = ParseTraceBinary(DtrcFrame(table, [](ByteWriter& body) {
+    body.PutU64(1);     // one event
+    body.PutVarU64(1);  // attr index out of range
+    body.PutVarU64(0);  // delta time
+    body.PutVarU64(0);  // withdrawn count
+    body.PutVarU64(0);  // nlri count
+  }));
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
 }
@@ -281,6 +291,27 @@ TEST_F(DtrcCorruption, StreamStopsAtABadEventAfterVisitingTheOnesBefore) {
   Status streamed = StreamTrace(BadSecondEventCorpus(), [&](const TraceEvent&) { ++visited; });
   EXPECT_EQ(streamed.code(), StatusCode::kInvalidArgument) << streamed;
   EXPECT_EQ(visited, 1u);
+}
+
+// Runs the built dice_cli with `args` (stderr folded into the output).
+struct CliRun {
+  int exit_code = -1;
+  std::string output;
+};
+CliRun RunCli(const std::string& args) {
+  CliRun run;
+  const std::string command = std::string(DICE_CLI_PATH) + " " + args + " 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) {
+    return run;
+  }
+  char buf[4096];
+  for (size_t n; (n = fread(buf, 1, sizeof(buf), pipe)) > 0;) {
+    run.output.append(buf, n);
+  }
+  const int status = pclose(pipe);
+  run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return run;
 }
 
 // dice_cli streams the corpus into the RIB, so the RIB has started filling
@@ -300,29 +331,67 @@ TEST_F(DtrcCorruption, DiceCliSavesNoStateFromABadCorpus) {
     ASSERT_TRUE(out.good());
   }
   const std::filesystem::path state_dir = dir / "state";
-  const std::string command = std::string(DICE_CLI_PATH) + " --config=" DICE_TESTDATA_DIR
-                              "/provider.conf --trace=" + corpus.string() +
-                              " --state_dir=" + state_dir.string() + " 2>&1";
-  FILE* pipe = popen(command.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  std::string output;
-  char buf[4096];
-  for (size_t n; (n = fread(buf, 1, sizeof(buf), pipe)) > 0;) {
-    output.append(buf, n);
-  }
-  const int status = pclose(pipe);
-  ASSERT_TRUE(WIFEXITED(status)) << output;
-  EXPECT_EQ(WEXITSTATUS(status), 1) << output;
-  EXPECT_NE(output.find("trace error: INVALID_ARGUMENT: dtrc trace: attribute reference 1 out "
-                        "of range (1)"),
+  const CliRun run = RunCli("--config=" DICE_TESTDATA_DIR "/provider.conf --trace=" +
+                            corpus.string() + " --state_dir=" + state_dir.string());
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("trace error: INVALID_ARGUMENT: dtrc trace: attribute reference 1 "
+                            "out of range (1)"),
             std::string::npos)
-      << output;
+      << run.output;
   if (std::filesystem::exists(state_dir)) {
     for (const auto& entry : std::filesystem::directory_iterator(state_dir)) {
       EXPECT_NE(entry.path().filename().string().rfind("router_state.", 0), 0u)
           << "snapshot left behind: " << entry.path();
     }
   }
+  std::filesystem::remove_all(dir);
+}
+
+// A warm restart frees the corpus once it is fingerprinted, before it reads
+// the snapshot. When no generation loads — here the --inject spec changed, so
+// the fingerprint no longer matches — it reads the corpus again and
+// cold-starts from what it read: the snapshot it writes must warm-load under
+// the same inputs and explore to the same digest.
+TEST(DtrcCliTest, ColdFallbackRereadsTheCorpus) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "dice_dtrc_cold_fallback";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path corpus = dir / "corpus.dtrc";
+  {
+    const Bytes bytes = *SerializeTraceBinary(CorpusTrace());
+    std::ofstream out(corpus, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
+  const std::string args = "--config=" DICE_TESTDATA_DIR "/provider.conf --trace=" +
+                           corpus.string() + " --state_dir=" + (dir / "state").string() +
+                           " --runs=32";
+  // The line of `output` that starts with `key`, or "".
+  auto line = [](const std::string& output, const std::string& key) {
+    const size_t at = output.find(key);
+    return at == std::string::npos ? std::string() : output.substr(at, output.find('\n', at) - at);
+  };
+
+  const CliRun first = RunCli(args + " --inject=203.0.113.0/24:64500");
+  EXPECT_NE(first.output.find("cold start:"), std::string::npos) << first.output;
+  const CliRun fallback = RunCli(args + " --inject=198.51.100.0/24:64501");
+  EXPECT_NE(fallback.output.find("fingerprint mismatch"), std::string::npos) << fallback.output;
+  EXPECT_NE(fallback.output.find("cold start:"), std::string::npos) << fallback.output;
+  EXPECT_FALSE(line(first.output, "loaded trace").empty()) << first.output;
+  EXPECT_EQ(line(fallback.output, "loaded trace"), line(first.output, "loaded trace"))
+      << "the fallback must ingest the whole corpus again";
+  EXPECT_NE(fallback.output.find("router state snapshot: generation"), std::string::npos)
+      << fallback.output;
+  const CliRun warm = RunCli(args + " --inject=198.51.100.0/24:64501");
+  EXPECT_NE(warm.output.find("warm restart: router state generation"), std::string::npos)
+      << warm.output;
+  for (const CliRun* run : {&first, &fallback, &warm}) {
+    EXPECT_TRUE(run->exit_code == 0 || run->exit_code == 3) << run->output;
+  }
+  EXPECT_FALSE(line(fallback.output, "detections_digest=").empty()) << fallback.output;
+  EXPECT_EQ(line(warm.output, "detections_digest="), line(fallback.output, "detections_digest="));
   std::filesystem::remove_all(dir);
 }
 
@@ -334,15 +403,35 @@ TEST_F(DtrcCorruption, TrailingBytesInsideTheBodyAreAnError) {
   EXPECT_FALSE(Loads(FrameMessage(kTraceFormatMagic, kTraceFormatVersion, body)));
 }
 
+// The stored-hash tripwire behind the frame checksum: a checksum-valid frame
+// whose first attribute record carries its hash off by one must be refused
+// by the hash check, and the set it interned on the way must be gone again.
+TEST_F(DtrcCorruption, StoredHashOffByOneIsAnErrorAndInternsNothing) {
+  bgp::PathAttributes attrs = RichEvent(7).update.attrs;
+  attrs.communities.push_back(0xfeed0001);  // a set nothing else holds
+  ByteWriter body;
+  body.PutU32(1);  // one attribute record
+  body.PutU64(bgp::HashAttrs(attrs) + 1);
+  bgp::EncodeAttrs(body, attrs);
+  body.PutU64(0);  // no events
+  const Bytes corpus = FrameMessage(kTraceFormatMagic, kTraceFormatVersion, body.bytes());
+
+  const size_t live_before = bgp::AttrInternTableStats().live_entries;
+  auto parsed = ParseTraceBinary(corpus);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("attribute 0 hash mismatch"), std::string::npos)
+      << parsed.status();
+  EXPECT_EQ(bgp::AttrInternTableStats().live_entries, live_before);
+}
+
 TEST_F(DtrcCorruption, EventCountBeyondBufferIsAnError) {
   bgp::AttrTable table;
   bgp::PathAttributes attrs;
   (void)table.IndexOf(bgp::InternedAttrs(attrs));
-  ByteWriter body;
-  table.Serialize(body);
-  body.PutU64(1u << 30);  // claims a billion events in a tiny buffer
-  auto parsed = ParseTraceBinary(FrameMessage(kTraceFormatMagic, kTraceFormatVersion,
-                                              body.bytes()));
+  auto parsed = ParseTraceBinary(DtrcFrame(table, [](ByteWriter& body) {
+    body.PutU64(1u << 30);  // claims a billion events in a tiny buffer
+  }));
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
 }

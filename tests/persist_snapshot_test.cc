@@ -10,9 +10,12 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/bgp/attr_intern.h"
 #include "src/dice/explorer.h"
+#include "src/persist/env.h"
 #include "src/persist/query_cache_snapshot.h"
 #include "src/persist/router_state_snapshot.h"
 #include "src/util/frame.h"
@@ -309,6 +312,102 @@ TEST(RouterStateSnapshotTest, StateFingerprintIsPinned) {
             BodyChecksum(reinterpret_cast<const uint8_t*>(joined.data()), joined.size()));
   EXPECT_EQ(fingerprint, 0x4f0d0465u);
   EXPECT_NE(persist::StateFingerprint(config, corpus, ""), fingerprint);
+}
+
+// Records what the serializer hands a file: the bytes, and the size of
+// every Append.
+class RecordingFile : public persist::WritableFile {
+ public:
+  Status Append(const uint8_t* data, size_t size) override {
+    appends.push_back(size);
+    return sink_.Append(data, size);
+  }
+  Status WriteAt(uint64_t offset, const uint8_t* data, size_t size) override {
+    return sink_.WriteAt(offset, data, size);
+  }
+  Status Close() override { return Status::Ok(); }
+  Bytes Take() { return sink_.Take(); }
+
+  std::vector<size_t> appends;
+
+ private:
+  BytesSink sink_;
+};
+
+// PopulatedState plus thousands of routes, each with its own attribute set,
+// and an Adj-RIB-Out entry for every tenth: a snapshot many chunks long.
+bgp::RouterState LargeState() {
+  bgp::RouterState state = PopulatedState();
+  for (uint32_t i = 0; i < 6000; ++i) {
+    bgp::PathAttributes attrs;
+    attrs.origin = bgp::Origin::kIgp;
+    attrs.as_path = bgp::AsPath::Sequence({9, 64512 + i % 1000, 100000 + i});
+    attrs.next_hop = *bgp::Ipv4Address::Parse("10.0.0.9");
+    attrs.communities.push_back(i);
+    bgp::Route route;
+    route.peer = 9;
+    route.peer_as = 9;
+    route.attrs = std::move(attrs);
+    const bgp::Prefix prefix =
+        bgp::Prefix::Make(bgp::Ipv4Address(0x0b000000u + (i << 8)), 24);
+    if (i % 10 == 0) {
+      state.adj_out[1].Insert(prefix, route.attrs);
+    }
+    state.rib.AddRoute(prefix, std::move(route));
+  }
+  return state;
+}
+
+// The streamed serializer writes the in-memory bytes, a chunk per Append.
+TEST(RouterStateSnapshotTest, StreamedBytesMatchInMemoryChunkByChunk) {
+  const std::pair<bgp::RouterState, size_t> cases[] = {{PopulatedState(), 1},
+                                                       {LargeState(), 5}};
+  for (const auto& [state, min_appends] : cases) {
+    RecordingFile file;
+    ASSERT_TRUE(persist::SerializeRouterState(state, kFingerprint, file).ok());
+    const Bytes streamed = file.Take();
+    EXPECT_EQ(streamed, persist::SerializeRouterState(state, kFingerprint));
+    EXPECT_GE(file.appends.size(), min_appends);
+    for (size_t i = 0; i < file.appends.size(); ++i) {
+      EXPECT_LE(file.appends[i], FrameWriter::kChunkSize) << "append " << i;
+      if (i + 1 < file.appends.size()) {
+        EXPECT_EQ(file.appends[i], FrameWriter::kChunkSize) << "append " << i;
+      }
+    }
+  }
+}
+
+// The stored-hash tripwire behind the frame checksum: a checksum-valid
+// snapshot whose first attribute record carries its hash off by one must be
+// refused by the hash check, and the set it interned on the way must be
+// gone again.
+TEST(RouterStateSnapshotTest, StoredHashOffByOneIsAnErrorAndInternsNothing) {
+  Bytes snapshot;
+  std::shared_ptr<const bgp::RouterConfig> config;
+  {
+    bgp::RouterState state = PopulatedState();
+    config = state.config;
+    snapshot = persist::SerializeRouterState(state, kFingerprint);
+  }
+  // The body leads with the fingerprint and the attribute count.
+  Bytes body(snapshot.begin() + kFrameHeaderSize, snapshot.end());
+  constexpr size_t kFirstHash = 8 + 4;
+  ByteReader hash_reader(body.data() + kFirstHash, 8);
+  const uint64_t bumped = hash_reader.ReadU64().value() + 1;
+  for (int i = 0; i < 8; ++i) {
+    body[kFirstHash + i] = static_cast<uint8_t>(bumped >> (56 - 8 * i));
+  }
+  const Bytes corrupt = FrameMessage(persist::kRouterStateSnapshotMagic,
+                                     persist::kRouterStateSnapshotVersion, body);
+
+  const size_t live_before = bgp::AttrInternTableStats().live_entries;
+  StatusOr<bgp::RouterState> restored =
+      persist::LoadRouterState(corrupt, config, kFingerprint);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(restored.status().message().find("attribute 0 hash mismatch"), std::string::npos)
+      << restored.status();
+  EXPECT_EQ(bgp::AttrInternTableStats().live_entries, live_before);
 }
 
 TEST(RouterStateSnapshotTest, FingerprintMismatchIsFailedPrecondition) {

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "src/persist/env.h"
 #include "src/persist/snapshot_store.h"
@@ -22,10 +25,34 @@ namespace {
 // --- in-memory Env ---------------------------------------------------------
 
 // Faithful enough for the store's protocol: files live under created
-// directories, renames are atomic, ListDir returns sorted basenames, and the
-// clock is a counter (deterministic quarantine names).
+// directories, an open file writes through to its bytes in the map, renames
+// are atomic, ListDir returns sorted basenames, and the clock is a counter
+// (deterministic quarantine names).
 class MemEnv : public Env {
  public:
+  class File : public WritableFile {
+   public:
+    File(MemEnv& env, std::string path) : env_(env), path_(std::move(path)) {}
+    Status Append(const uint8_t* data, size_t size) override {
+      Bytes& bytes = env_.files_[path_];
+      bytes.insert(bytes.end(), data, data + size);
+      return Status::Ok();
+    }
+    Status WriteAt(uint64_t offset, const uint8_t* data, size_t size) override {
+      Bytes& bytes = env_.files_[path_];
+      if (offset + size > bytes.size()) {
+        return OutOfRangeError("write past the end of " + path_);
+      }
+      std::copy(data, data + size, bytes.begin() + static_cast<std::ptrdiff_t>(offset));
+      return Status::Ok();
+    }
+    Status Close() override { return Status::Ok(); }
+
+   private:
+    MemEnv& env_;
+    std::string path_;
+  };
+
   StatusOr<Bytes> ReadFile(const std::string& path) override {
     auto it = files_.find(path);
     if (it == files_.end()) {
@@ -34,12 +61,12 @@ class MemEnv : public Env {
     return it->second;
   }
 
-  Status WriteFile(const std::string& path, const Bytes& data) override {
+  StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(const std::string& path) override {
     if (!ParentExists(path)) {
       return NotFoundError("no such directory for: " + path);
     }
-    files_[path] = data;
-    return Status::Ok();
+    files_[path].clear();  // create or truncate, as open(O_CREAT | O_TRUNC)
+    return std::unique_ptr<WritableFile>(new File(*this, path));
   }
 
   Status RenameFile(const std::string& from, const std::string& to) override {
@@ -432,6 +459,88 @@ TEST(SnapshotStoreCrashMatrix, EveryFaultLeavesALoadableGeneration) {
   }
   // Matrix actually covered the write at every boundary for every op.
   EXPECT_GE(cells, total_ops * (next.size() + 5));
+}
+
+// A payload several FrameWriter chunks long, streamed into the generation
+// file the way snapshots are written. Each write fault lands at byte offsets
+// around every chunk edge, on the checksum bytes the writer fills in last,
+// and on the last byte: a cut there fails the save before its rename, and a
+// flipped bit there is caught at load, so generation one loads every time.
+TEST(SnapshotStoreCrashMatrix, StreamedWriteFaultsAtChunkEdgesLeaveGenerationOne) {
+  Bytes payload(3 * FrameWriter::kChunkSize + 1000);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 7 + (i >> 9));
+  }
+  const FileProducer produce = [&payload](WritableFile& file) -> Status {
+    FrameWriter frame(file, kTestMagic, 1);
+    DICE_RETURN_IF_ERROR(frame.Append(payload.data(), payload.size()));
+    return frame.Finish();
+  };
+  const size_t file_size = kFrameHeaderSize + payload.size();
+
+  MemEnv baseline;
+  {
+    SnapshotStore store(baseline, "/state", "cache");
+    ASSERT_TRUE(store.Save(Framed("generation-one")).ok());
+  }
+  {
+    // Unfaulted, the streamed generation is the newest and loads whole.
+    MemEnv env = baseline;
+    SnapshotStore store(env, "/state", "cache");
+    ASSERT_TRUE(store.Save(produce).ok());
+    std::string loaded;
+    auto generation = store.LoadLatest([&](const Bytes& b) { return ParseFramed(b, &loaded); });
+    ASSERT_TRUE(generation.ok()) << generation.status();
+    EXPECT_EQ(*generation, 2u);
+    EXPECT_EQ(loaded, std::string(payload.begin(), payload.end()));
+  }
+
+  std::set<size_t> offsets;  // into the file
+  for (size_t edge = 0; edge < file_size + 16; edge += FrameWriter::kChunkSize) {
+    for (size_t offset = edge < 16 ? 0 : edge - 16; offset <= edge + 16; ++offset) {
+      offsets.insert(offset);
+    }
+  }
+  for (size_t offset = kFrameHeaderSize - 4; offset < kFrameHeaderSize; ++offset) {
+    offsets.insert(offset);  // the checksum
+  }
+  offsets.insert(file_size - 1);
+  offsets.insert(file_size);  // every byte written, and the write still fails
+  ASSERT_GE(file_size, 3 * FrameWriter::kChunkSize);
+
+  size_t cells = 0;
+  for (size_t offset : offsets) {
+    std::vector<FaultPlan> plans;
+    // Op 0 is the write of the new generation's temp file.
+    for (FaultKind kind : {FaultKind::kTornWrite, FaultKind::kShortWrite, FaultKind::kNoSpace}) {
+      plans.push_back({kind, 0, offset});
+    }
+    if (offset < file_size) {
+      plans.push_back({FaultKind::kBitFlip, 0, offset * 8 + offset % 8});
+    }
+    for (const FaultPlan& plan : plans) {
+      ++cells;
+      const std::string cell = "fault kind " + std::to_string(static_cast<int>(plan.kind)) +
+                               " at byte " + std::to_string(offset);
+      MemEnv env = baseline;
+      {
+        FaultInjectingEnv faulty(env);
+        faulty.Arm(plan);
+        SnapshotStore store(faulty, "/state", "cache");
+        const bool saved = store.Save(produce).ok();
+        EXPECT_TRUE(faulty.fired()) << cell;
+        EXPECT_EQ(saved, plan.kind == FaultKind::kBitFlip) << cell;
+      }
+      SnapshotStore recovered(env, "/state", "cache");
+      std::string loaded;
+      auto generation =
+          recovered.LoadLatest([&](const Bytes& b) { return ParseFramed(b, &loaded); });
+      ASSERT_TRUE(generation.ok()) << cell << ": " << generation.status().ToString();
+      EXPECT_EQ(*generation, 1u) << cell;
+      EXPECT_EQ(loaded, "generation-one") << cell;
+    }
+  }
+  EXPECT_GE(cells, 4 * 33 * 3u);
 }
 
 // Bit flips are silent (the write "succeeds"), so detection falls entirely

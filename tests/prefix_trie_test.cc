@@ -1,18 +1,29 @@
 // Tests for the copy-on-write Patricia trie: reference-model property tests,
-// snapshot isolation, longest-prefix match, and sharing statistics.
+// snapshot isolation, longest-prefix match, sharing statistics, and node
+// ownership (no node or value leaks or is freed twice, on one thread or
+// across threads that copy and drop snapshots of one trie).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/bgp/prefix_trie.h"
+#include "src/bgp/rib.h"
 #include "src/util/rng.h"
 
 namespace dice::bgp {
 namespace {
+
+// A trie is a root handle and a size; a node is one allocation holding the
+// count, the key, two 8-byte child handles and the value — 72 bytes for a
+// RIB node (an 80-byte malloc chunk, where a make_shared node took 112).
+static_assert(sizeof(PrefixTrie<int>) == 16);
+static_assert(PrefixTrie<RibEntry>::kNodeBytes == 72);
 
 Prefix P(const char* s) { return *Prefix::Parse(s); }
 
@@ -314,6 +325,128 @@ TEST_P(TrieVsMapProperty, MatchesStdMapUnderRandomOps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrieVsMapProperty, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// --- node ownership ---------------------------------------------------------------
+
+// A value that counts its live instances: a node that leaks keeps its value
+// alive, and one freed twice destroys its value twice, so either moves the
+// count away from what the live tries account for.
+struct Counted {
+  static inline std::atomic<int64_t> live{0};
+
+  explicit Counted(uint32_t v = 0) : value(v) { live.fetch_add(1, std::memory_order_relaxed); }
+  Counted(const Counted& other) : value(other.value) {
+    live.fetch_add(1, std::memory_order_relaxed);
+  }
+  Counted& operator=(const Counted&) = default;
+  ~Counted() { live.fetch_sub(1, std::memory_order_relaxed); }
+
+  uint32_t value;
+};
+
+using CountedTrie = PrefixTrie<Counted>;
+
+// Every entry of `trie`, in walk order, equals `model`'s.
+void ExpectEquals(const CountedTrie& trie, const Model& model) {
+  ASSERT_EQ(trie.size(), model.size());
+  auto it = model.begin();
+  trie.Walk([&](const Prefix& p, const Counted& v) {
+    EXPECT_TRUE(it != model.end() && it->first == p && it->second == v.value);
+    ++it;
+    return true;
+  });
+  EXPECT_TRUE(it == model.end());
+}
+
+// One random Insert, Erase or FindMutable write on `trie` and its model.
+void RandomOp(CountedTrie& trie, Model& model, Rng& rng) {
+  const uint32_t addr = static_cast<uint32_t>(rng.NextBelow(64)) << 24 |
+                        static_cast<uint32_t>(rng.NextBelow(16)) << 16;
+  const Prefix p = Prefix::Make(Ipv4Address(addr), static_cast<uint8_t>(rng.NextBelow(25)));
+  const uint32_t val = rng.NextU32();
+  switch (rng.NextBelow(3)) {
+    case 0:
+      EXPECT_EQ(trie.Insert(p, Counted(val)), model.count(p) == 0);
+      model[p] = val;
+      break;
+    case 1:
+      EXPECT_EQ(trie.Erase(p), model.erase(p) > 0);
+      break;
+    case 2:
+      if (Counted* found = trie.FindMutable(p)) {
+        found->value = val;
+        model.at(p) = val;
+      } else {
+        EXPECT_EQ(model.count(p), 0u);
+      }
+      break;
+  }
+}
+
+TEST(PrefixTrieOwnershipTest, SnapshotsTakenAndDroppedAtRandomKeepTheirContents) {
+  const int64_t live_at_start = Counted::live.load();
+  {
+    Rng rng(11);
+    CountedTrie trie;
+    Model model;
+    std::vector<std::pair<CountedTrie, Model>> snapshots;
+    for (int op = 0; op < 20000; ++op) {
+      RandomOp(trie, model, rng);
+      const uint64_t roll = rng.NextBelow(100);
+      if (roll < 3) {
+        snapshots.emplace_back(trie, model);
+      } else if (roll < 5 && !snapshots.empty()) {
+        const size_t victim = rng.NextBelow(snapshots.size());
+        ExpectEquals(snapshots[victim].first, snapshots[victim].second);
+        snapshots.erase(snapshots.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
+    }
+    ExpectEquals(trie, model);
+    for (const auto& [snapshot, snapshot_model] : snapshots) {
+      ExpectEquals(snapshot, snapshot_model);
+    }
+    EXPECT_GT(Counted::live.load(), live_at_start);
+  }
+  EXPECT_EQ(Counted::live.load(), live_at_start) << "every value freed exactly once";
+}
+
+// Snapshots copied and dropped on other threads: each thread copies one
+// shared trie, mutates its copy (path-copying the nodes it shares with the
+// shared trie and the other copies, so their counts move on four threads at
+// once) and drops it. The shared trie and the live-value count come out
+// unchanged. ctest --preset tsan runs this case too.
+TEST(PrefixTrieOwnershipTest, ConcurrentCopiesOfOneTrieStayIsolated) {
+  const int64_t live_at_start = Counted::live.load();
+  {
+    CountedTrie shared;
+    Model shared_model;
+    Rng rng(29);
+    while (shared.size() < 10000) {
+      const Prefix p = Prefix::Make(Ipv4Address(rng.NextU32()), 24);
+      const uint32_t val = rng.NextU32();
+      shared.Insert(p, Counted(val));
+      shared_model[p] = val;
+    }
+    constexpr int kThreads = 4;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&shared, &shared_model, t] {
+        Rng thread_rng(100 + t);
+        CountedTrie copy = shared;
+        Model model = shared_model;
+        for (int op = 0; op < 5000; ++op) {
+          RandomOp(copy, model, thread_rng);
+        }
+        ExpectEquals(copy, model);
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    ExpectEquals(shared, shared_model);
+  }
+  EXPECT_EQ(Counted::live.load(), live_at_start) << "every value freed exactly once";
+}
 
 }  // namespace
 }  // namespace dice::bgp

@@ -290,7 +290,9 @@ StatusOr<RemoteDomainParts> BuildRemoteDomainParts(const std::string& path,
                          discard);
     });
     if (store != nullptr) {
-      auto saved = store->Save(persist::SerializeRouterState(parts.state, fingerprint));
+      auto saved = store->Save([&](persist::WritableFile& file) {
+        return persist::SerializeRouterState(parts.state, fingerprint, file);
+      });
       if (!saved.ok()) {
         std::fprintf(stderr, "warning: remote state snapshot failed: %s\n",
                      saved.status().ToString().c_str());
@@ -483,21 +485,25 @@ int Run(int argc, char** argv) {
   persist::PosixEnv persist_env;
   const std::string inject_spec = flags.GetString("inject", "");
   Bytes table_source;
-  if (trace_path.empty()) {
-    const std::string synthetic =
-        StrFormat("synthetic:%llu:%llu", static_cast<unsigned long long>(seed),
-                  static_cast<unsigned long long>(prefixes));
-    table_source.assign(synthetic.begin(), synthetic.end());
-  } else {
-    auto corpus = persist_env.ReadFile(trace_path);
-    if (!corpus.ok()) {
-      std::fprintf(stderr, "error: %s\n", corpus.status().ToString().c_str());
-      return 1;
+  uint64_t state_fingerprint = 0;
+  // Reads the table source (the trace file, or the synthetic table's
+  // description) and fingerprints it.
+  auto read_table_source = [&]() -> Status {
+    if (trace_path.empty()) {
+      const std::string synthetic =
+          StrFormat("synthetic:%llu:%llu", static_cast<unsigned long long>(seed),
+                    static_cast<unsigned long long>(prefixes));
+      table_source.assign(synthetic.begin(), synthetic.end());
+    } else {
+      DICE_ASSIGN_OR_RETURN(table_source, persist_env.ReadFile(trace_path));
     }
-    table_source = std::move(corpus).value();
+    state_fingerprint = persist::StateFingerprint(*config_text, table_source, inject_spec);
+    return Status();
+  };
+  if (Status read = read_table_source(); !read.ok()) {
+    std::fprintf(stderr, "error: %s\n", read.ToString().c_str());
+    return 1;
   }
-  const uint64_t state_fingerprint =
-      persist::StateFingerprint(*config_text, table_source, inject_spec);
 
   std::optional<persist::SnapshotStore> router_store;
   std::optional<persist::SnapshotStore> cache_store;
@@ -508,6 +514,14 @@ int Run(int argc, char** argv) {
 
   bool state_loaded = false;
   if (router_store.has_value()) {
+    // A warm restart needs the corpus only for its fingerprint: with a
+    // generation on disk, the corpus is freed before the snapshot is read,
+    // and read again if no generation loads.
+    auto listed = router_store->Generations();
+    const bool corpus_released = listed.ok() && !listed->empty();
+    if (corpus_released) {
+      Bytes().swap(table_source);
+    }
     auto generation = router_store->LoadLatest([&](const Bytes& bytes) -> Status {
       auto restored = persist::LoadRouterState(bytes, state.config, state_fingerprint);
       if (!restored.ok()) {
@@ -522,6 +536,14 @@ int Run(int argc, char** argv) {
                   static_cast<unsigned long long>(*generation), state_dir.c_str());
     } else {
       std::printf("cold start: %s\n", generation.status().message().c_str());
+      // The cold start builds the state from the source as read now, and
+      // snapshots it under that read's fingerprint.
+      if (corpus_released) {
+        if (Status read = read_table_source(); !read.ok()) {
+          std::fprintf(stderr, "error: %s\n", read.ToString().c_str());
+          return 1;
+        }
+      }
     }
   }
 
@@ -581,7 +603,10 @@ int Run(int argc, char** argv) {
                   static_cast<unsigned long long>(*origin));
     }
     if (router_store.has_value()) {
-      auto saved = router_store->Save(persist::SerializeRouterState(state, state_fingerprint));
+      // Streamed into the generation file: no snapshot buffer is built.
+      auto saved = router_store->Save([&](persist::WritableFile& file) {
+        return persist::SerializeRouterState(state, state_fingerprint, file);
+      });
       if (saved.ok()) {
         std::printf("router state snapshot: generation %llu written to %s\n",
                     static_cast<unsigned long long>(*saved), state_dir.c_str());
@@ -592,7 +617,6 @@ int Run(int argc, char** argv) {
     }
   }
 
-  Bytes().swap(table_source);  // a warm start loaded the RIB without streaming it
   std::printf("RIB: %zu prefixes\n", state.rib.PrefixCount());
 
   // --- explore ---------------------------------------------------------------

@@ -57,19 +57,6 @@ StatusOr<std::string> ReadFile(const std::string& path) {
   return out.str();
 }
 
-Status WriteFile(const std::string& path, const void* data, size_t size) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return InternalError("cannot create " + path);
-  }
-  out.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
-  out.flush();
-  if (!out) {
-    return InternalError("short write to " + path);
-  }
-  return Status();
-}
-
 void PrintUsage(std::FILE* out) {
   std::fprintf(
       out,
@@ -203,25 +190,47 @@ trace::Trace ConcatTraces(trace::Trace dump, const trace::Trace& updates) {
   return dump;
 }
 
-int WriteTraceFile(const trace::Trace& trace, const std::string& path, bool text) {
-  std::string payload;
-  if (text) {
-    payload = trace::SerializeTrace(trace);
-  } else {
-    auto bytes = trace::SerializeTraceBinary(trace);
-    if (!bytes.ok()) {
-      std::fprintf(stderr, "error: %s\n", bytes.status().ToString().c_str());
-      return 1;
-    }
-    payload.assign(reinterpret_cast<const char*>(bytes->data()), bytes->size());
-  }
-  if (Status written = WriteFile(path, payload.data(), payload.size()); !written.ok()) {
+// Streams `writer`'s .dtrc file to `path`, one chunk at a time, and prints
+// the summary line.
+int WriteDtrcFile(const trace::TraceWriter& writer, const std::string& path, size_t announced,
+                  size_t withdrawn) {
+  persist::PosixEnv env;
+  Status written = env.WriteFile(
+      path, [&writer](persist::WritableFile& file) { return writer.Finish(file); });
+  if (!written.ok()) {
     std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
     return 1;
   }
-  std::printf("wrote %s: %zu events, %zu announced, %zu withdrawn, %zu bytes (%s)\n",
+  std::printf("wrote %s: %llu events, %zu announced, %zu withdrawn, %zu bytes (binary)\n",
+              path.c_str(), static_cast<unsigned long long>(writer.event_count()), announced,
+              withdrawn, writer.SerializedSize());
+  return 0;
+}
+
+int WriteTraceFile(const trace::Trace& trace, const std::string& path, bool text) {
+  if (!text) {
+    trace::TraceWriter writer;
+    for (const trace::TraceEvent& event : trace.events) {
+      if (Status appended = writer.Append(event); !appended.ok()) {
+        std::fprintf(stderr, "error: %s\n", appended.ToString().c_str());
+        return 1;
+      }
+    }
+    return WriteDtrcFile(writer, path, trace.TotalAnnouncedPrefixes(),
+                         trace.TotalWithdrawnPrefixes());
+  }
+  const std::string payload = trace::SerializeTrace(trace);
+  persist::PosixEnv env;
+  Status written = env.WriteFile(path, [&payload](persist::WritableFile& file) {
+    return file.Append(reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
+  });
+  if (!written.ok()) {
+    std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+    return 1;
+  }
+  std::printf("wrote %s: %zu events, %zu announced, %zu withdrawn, %zu bytes (text)\n",
               path.c_str(), trace.events.size(), trace.TotalAnnouncedPrefixes(),
-              trace.TotalWithdrawnPrefixes(), payload.size(), text ? "text" : "binary");
+              trace.TotalWithdrawnPrefixes(), payload.size());
   return 0;
 }
 
@@ -229,11 +238,39 @@ int RunGen(const bench::Flags& flags) {
   trace::TraceGeneratorOptions options = GeneratorOptions(flags);
   options.withdraw_fraction = flags.GetDouble("withdraw_fraction", options.withdraw_fraction);
   trace::TraceGenerator generator(options);
-  trace::Trace trace = generator.FullDump();
-  if (!flags.GetBool("dump_only", false)) {
-    trace = ConcatTraces(std::move(trace), generator.UpdateTrace());
+  const std::string path = flags.GetString("out", "");
+  const bool dump_only = flags.GetBool("dump_only", false);
+  if (flags.GetBool("text", false)) {
+    trace::Trace trace = generator.FullDump();
+    if (!dump_only) {
+      trace = ConcatTraces(std::move(trace), generator.UpdateTrace());
+    }
+    return WriteTraceFile(trace, path, /*text=*/true);
   }
-  return WriteTraceFile(trace, flags.GetString("out", ""), flags.GetBool("text", false));
+  // .dtrc: each event goes from the generator straight into the writer, so
+  // no Trace of the dump is built, and the file streams out of the writer.
+  trace::TraceWriter writer;
+  size_t announced = 0;
+  size_t withdrawn = 0;
+  Status appended;
+  auto append = [&](const trace::TraceEvent& event) {
+    if (appended.ok()) {
+      appended = writer.Append(event);
+      announced += event.update.nlri.size();
+      withdrawn += event.update.withdrawn.size();
+    }
+  };
+  generator.StreamFullDump(append);
+  if (!dump_only) {
+    for (const trace::TraceEvent& event : generator.UpdateTrace().events) {
+      append(event);
+    }
+  }
+  if (!appended.ok()) {
+    std::fprintf(stderr, "error: %s\n", appended.ToString().c_str());
+    return 1;
+  }
+  return WriteDtrcFile(writer, path, announced, withdrawn);
 }
 
 int RunInfo(const bench::Flags& flags) {
