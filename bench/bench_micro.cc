@@ -1,7 +1,8 @@
 // A3 — substrate micro-benchmarks (google-benchmark):
 //
 //  * wire codec encode/decode throughput;
-//  * COW Patricia trie: insert, exact/LPM lookup, snapshot, post-snapshot write;
+//  * COW Patricia trie: insert, ordered restore, exact/LPM lookup, snapshot,
+//    post-snapshot write;
 //  * attribute interning: intern and release of distinct sets;
 //  * decision process (RoutePreferred);
 //  * filter interpretation, concrete vs symbolic context — quantifying §3.2's
@@ -11,6 +12,8 @@
 //  * checkpoint clone cost at table scale.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "src/bgp/config.h"
 #include "src/bgp/policy_eval.h"
@@ -68,6 +71,27 @@ void BM_TrieInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_TrieInsert);
+
+// The same 10k prefixes restored in walk order through PrefixTrie::Builder,
+// as a router-state snapshot load builds its tries.
+void BM_TrieRestoreInOrder(benchmark::State& state) {
+  Rng rng(1);
+  std::vector<bgp::Prefix> prefixes;
+  for (int i = 0; i < 10000; ++i) {
+    prefixes.push_back(bgp::Prefix::Make(bgp::Ipv4Address(rng.NextU32()), 24));
+  }
+  std::sort(prefixes.begin(), prefixes.end());
+  prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
+  for (auto _ : state) {
+    bgp::PrefixTrie<int>::Builder builder;
+    for (const auto& p : prefixes) {
+      builder.Append(p, 1);
+    }
+    benchmark::DoNotOptimize(builder.Take().size());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(prefixes.size()));
+}
+BENCHMARK(BM_TrieRestoreInOrder);
 
 // Interns 10k distinct attribute sets, then releases them all: per set, the
 // intern table's miss (allocate the node, take a slot) and its last drop

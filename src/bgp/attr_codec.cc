@@ -166,6 +166,25 @@ Status DecodeAttrs(ByteReader& r, const char* what, PathAttributes& a) {
   return Status::Ok();
 }
 
+void EncodeAttrRecord(ByteWriter& w, const InternedAttrs& attrs) {
+  w.PutU64(attrs.hash());
+  EncodeAttrs(w, attrs.get());
+}
+
+StatusOr<InternedAttrs> DecodeAttrRecord(ByteReader& r, const char* what, uint32_t index) {
+  DICE_ASSIGN_OR_RETURN(uint64_t stored_hash, r.ReadU64());
+  PathAttributes a;
+  DICE_RETURN_IF_ERROR(DecodeAttrs(r, what, a));
+  InternedAttrs interned(std::move(a));
+  if (interned.hash() != stored_hash) {
+    return InvalidArgumentError(StrFormat(
+        "%s: attribute %u hash mismatch (stored %016llx, decoded %016llx)", what, index,
+        static_cast<unsigned long long>(stored_hash),
+        static_cast<unsigned long long>(interned.hash())));
+  }
+  return interned;
+}
+
 size_t AttrTable::Home(const PathAttributes* key) const {
   return static_cast<size_t>((reinterpret_cast<uintptr_t>(key) * 0x9e3779b97f4a7c15ULL) >>
                              shift_);
@@ -214,10 +233,7 @@ Status AttrTable::Serialize(FrameWriter& frame) const {
   ByteWriter& w = frame.body();
   w.PutU32(static_cast<uint32_t>(attrs_.size()));
   for (const InternedAttrs& handle : attrs_) {
-    // Stored structural hash: a second corruption tripwire beyond the frame
-    // checksum, and the key the intern table reloads under.
-    w.PutU64(handle.hash());
-    EncodeAttrs(w, handle.get());
+    EncodeAttrRecord(w, handle);
     DICE_RETURN_IF_ERROR(frame.Drain());
   }
   return Status::Ok();
@@ -240,33 +256,9 @@ Status LoadAttrTable(ByteReader& r, const char* what, std::vector<InternedAttrs>
   }
   out.reserve(attr_count);
   for (uint32_t i = 0; i < attr_count; ++i) {
-    DICE_ASSIGN_OR_RETURN(uint64_t stored_hash, r.ReadU64());
-    PathAttributes a;
-    DICE_RETURN_IF_ERROR(DecodeAttrs(r, what, a));
-    // Re-interns in this process, hashing the set once. The stored
-    // structural hash must match the decoded value's: catches any corruption
-    // the frame checksum happened to miss and any decode drift between
-    // writer and reader.
-    InternedAttrs interned(std::move(a));
-    if (interned.hash() != stored_hash) {
-      return InvalidArgumentError(StrFormat(
-          "%s: attribute %u hash mismatch (stored %016llx, decoded %016llx)", what, i,
-          static_cast<unsigned long long>(stored_hash),
-          static_cast<unsigned long long>(interned.hash())));
-    }
+    DICE_ASSIGN_OR_RETURN(InternedAttrs interned, DecodeAttrRecord(r, what, i));
     out.push_back(std::move(interned));
   }
-  return Status::Ok();
-}
-
-Status ReadAttrIndex(ByteReader& r, const char* what,
-                     const std::vector<InternedAttrs>& attrs, InternedAttrs& out) {
-  DICE_ASSIGN_OR_RETURN(uint32_t idx, r.ReadU32());
-  if (idx >= attrs.size()) {
-    return InvalidArgumentError(StrFormat("%s: attribute reference %u out of range (%zu)",
-                                          what, idx, attrs.size()));
-  }
-  out = attrs[idx];
   return Status::Ok();
 }
 

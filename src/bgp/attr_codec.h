@@ -5,10 +5,11 @@
 // Both formats dedup attribute sets through an AttrTable: interning makes
 // node identity == structural identity, so the address of a set's intern
 // node is the dedup key, and indices are assigned in first-encounter order
-// over the caller's deterministic serialization walk. Every serialized
-// attribute record carries its structural hash (bgp::HashAttrs) — a second
-// corruption tripwire beyond the container's frame checksum, re-verified
-// against the decoded value on load.
+// over the caller's deterministic serialization walk. A .dtrc leads with the
+// whole table; a router-state snapshot defines each set inline at its first
+// reference. Every serialized attribute record carries its structural hash
+// (bgp::HashAttrs) — a second corruption tripwire beyond the container's
+// frame checksum, re-verified against the decoded value on load.
 
 #ifndef SRC_BGP_ATTR_CODEC_H_
 #define SRC_BGP_ATTR_CODEC_H_
@@ -30,8 +31,20 @@ void EncodeAttrs(ByteWriter& w, const PathAttributes& a);
 // enclosing format in error text.
 [[nodiscard]] Status DecodeAttrs(ByteReader& r, const char* what, PathAttributes& a);
 
+// One attribute record: the set's structural hash (u64, the one its intern
+// node stores), then its EncodeAttrs bytes.
+void EncodeAttrRecord(ByteWriter& w, const InternedAttrs& attrs);
+
+// Decodes one EncodeAttrRecord and interns the set in this process, hashing
+// it once; the stored hash must match the interned node's, which catches
+// any corruption the frame checksum happened to miss and any decode drift
+// between writer and reader. `index` names the record in error text. A
+// rejected record leaves nothing interned on its behalf.
+[[nodiscard]] StatusOr<InternedAttrs> DecodeAttrRecord(ByteReader& r, const char* what,
+                                                       uint32_t index);
+
 // Assigns attribute-table indices in first-encounter order and serializes the
-// table: u32 count, then per entry u64 HashAttrs + EncodeAttrs body.
+// table: u32 count, then one EncodeAttrRecord per entry.
 //
 // The index is a flat open-addressing table keyed by intern-node address, as
 // the intern shards are (power-of-two slots at most 3/4 full, Fibonacci-hashed
@@ -62,17 +75,10 @@ class AttrTable {
   unsigned shift_ = 64;      // 64 - log2(slots_.size())
 };
 
-// Loads a Serialize()d attribute table, re-interning every entry in this
-// process and verifying each stored hash against the interned node's (one
-// hash per set). A rejected table leaves no set interned on its behalf once
-// `out` is dropped.
+// Loads a Serialize()d attribute table through DecodeAttrRecord. A rejected
+// table leaves no set interned on its behalf once `out` is dropped.
 [[nodiscard]] Status LoadAttrTable(ByteReader& r, const char* what,
                                    std::vector<InternedAttrs>& out);
-
-// Reads a u32 table reference and resolves it, rejecting out-of-range indices.
-[[nodiscard]] Status ReadAttrIndex(ByteReader& r, const char* what,
-                                   const std::vector<InternedAttrs>& attrs,
-                                   InternedAttrs& out);
 
 }  // namespace dice::bgp
 

@@ -26,6 +26,15 @@
 //
 // Sharing statistics between two tries (SharingStats) are exact, by pointer
 // identity, and feed the checkpoint PageAccountant.
+//
+// Ordered construction. A Builder takes entries in walk order (Prefix's <=>:
+// address, then length) and keeps the right spine of what it has built: the
+// nodes from the root to the last key. Each key goes under the deepest spine
+// node that covers it — as that node's empty right child, or above the
+// subtree in that slot at a new fork node — so an entry costs amortized O(1)
+// where Insert descends from the root. A path-compressed binary trie is
+// unique for its key set, so the result is node for node the trie that
+// Inserts of the same entries build. Snapshot restore (src/persist) uses it.
 
 #ifndef SRC_BGP_PREFIX_TRIE_H_
 #define SRC_BGP_PREFIX_TRIE_H_
@@ -287,6 +296,55 @@ class PrefixTrie {
   // Heap bytes per node (one allocation each), used by the checkpoint page
   // accounting.
   static constexpr size_t kNodeBytes = sizeof(Node);
+
+  // Builds a trie from entries appended in walk order (see the header).
+  class Builder {
+   public:
+    // Appends `prefix` with `value`. Returns false, changing nothing, unless
+    // `prefix` comes strictly after the previous key in walk order.
+    bool Append(const Prefix& prefix, V value) {
+      if (!spine_.empty() && !(spine_.back()->key < prefix)) {
+        return false;
+      }
+      while (!spine_.empty() && !spine_.back()->key.Covers(prefix)) {
+        spine_.pop_back();
+      }
+      // The deepest covering node is shorter than `prefix` (an equal key is
+      // not after the previous one), so `prefix` has a bit at its length.
+      NodePtr* slot = spine_.empty()
+                          ? &trie_.root_
+                          : &spine_.back()->child[BitAt(prefix.address().bits(),
+                                                        spine_.back()->key.length())];
+      NodePtr leaf = Leaf(prefix, std::move(value));
+      Node* added = leaf.get();
+      if (*slot == nullptr) {
+        *slot = std::move(leaf);
+      } else {
+        // The slot holds the subtree of the previous key, which neither
+        // covers `prefix` nor is covered by it: fork at their common prefix.
+        const Prefix& earlier = (*slot)->key;
+        const uint8_t common = CommonLength(earlier, prefix);
+        NodePtr fork(new Node(Prefix::Make(prefix.address(), common), std::nullopt));
+        fork->child[BitAt(earlier.address().bits(), common)] = std::move(*slot);
+        fork->child[BitAt(prefix.address().bits(), common)] = std::move(leaf);
+        *slot = std::move(fork);
+        spine_.push_back(slot->get());
+      }
+      spine_.push_back(added);
+      ++trie_.size_;
+      return true;
+    }
+
+    // The trie built so far; leaves the builder empty.
+    PrefixTrie Take() {
+      spine_.clear();
+      return std::exchange(trie_, PrefixTrie());
+    }
+
+   private:
+    PrefixTrie trie_;
+    std::vector<Node*> spine_;  // root to the last key's node
+  };
 
  private:
   static int BitAt(uint32_t bits, uint8_t position) {

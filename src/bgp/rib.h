@@ -108,14 +108,18 @@ class Rib {
   using Trie = PrefixTrie<RibEntry>;
   const Trie& trie() const { return trie_; }
 
-  // Snapshot restore (src/persist): installs a fully-formed entry verbatim —
-  // no reselection, no sequence assignment — so a loaded RIB is bit-identical
-  // to the persisted one. Ordinary mutation must go through AddRoute.
-  void RestoreEntry(const Prefix& prefix, RibEntry entry) {
-    trie_.Insert(prefix, std::move(entry));
+  // Snapshot restore (src/persist): adopts a trie of fully-formed entries
+  // (built in walk order by Trie::Builder) and the sequence counter verbatim
+  // — no reselection, no sequence assignment — so a loaded RIB is
+  // bit-identical to the persisted one. Ordinary mutation must go through
+  // AddRoute.
+  static Rib Restore(Trie trie, uint64_t next_sequence) {
+    Rib rib;
+    rib.trie_ = std::move(trie);
+    rib.next_sequence_ = next_sequence;
+    return rib;
   }
   uint64_t next_sequence() const { return next_sequence_; }
-  void RestoreNextSequence(uint64_t next_sequence) { next_sequence_ = next_sequence; }
 
  private:
   // Recomputes `entry.best`; returns the result bookkeeping.

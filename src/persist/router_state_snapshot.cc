@@ -20,7 +20,6 @@ using ::dice::BytesSink;
 using ::dice::ByteWriter;
 using ::dice::FailedPreconditionError;
 using ::dice::FrameWriter;
-using ::dice::kFrameHeaderSize;
 using ::dice::InvalidArgumentError;
 using ::dice::StrFormat;
 using ::dice::bgp::AttrTable;
@@ -51,39 +50,41 @@ uint64_t StateFingerprint(std::string_view config_text, const Bytes& table_sourc
 
 namespace {
 
-// Walk 1: assigns attribute indices over the same deterministic walk the
-// writer makes, so references are first-encounter-ordered. Returns the size
-// of everything in the body after the attribute table.
-size_t IndexAttrs(const RouterState& state, AttrTable& table) {
-  // Sequence counter, prefix count, peer count, six processing counters.
-  size_t tail_size = 8 + 4 + 4 + 6 * 8;
-  state.rib.Walk([&](const Prefix& prefix, const RibEntry& entry) {
-    // Prefix, route count, per route peer + peer AS + attr index + sequence,
-    // best index.
-    tail_size += dice::bgp::EncodedPrefixSize(prefix) + 4 +
-                 entry.routes.size() * (4 + 4 + 4 + 8) + 4;
-    for (const Route& route : entry.routes) {
-      table.IndexOf(route.attrs);
-    }
-    return true;
-  });
-  for (const auto& [peer, trie] : state.adj_out) {
-    tail_size += 4 + 4;  // peer, entry count
-    trie.Walk([&](const Prefix& prefix, const InternedAttrs& attrs) {
-      tail_size += dice::bgp::EncodedPrefixSize(prefix) + 4;
-      table.IndexOf(attrs);
-      return true;
-    });
+// Writes a reference to `attrs`: its index, followed — at the set's first
+// reference — by its record.
+void PutAttrRef(ByteWriter& body, AttrTable& table, const InternedAttrs& attrs) {
+  const size_t defined = table.size();
+  const uint32_t index = table.IndexOf(attrs);
+  body.PutU32(index);
+  if (index == defined) {
+    dice::bgp::EncodeAttrRecord(body, attrs);
   }
-  return tail_size;
 }
 
-// Walk 2: writes the frame, draining it after every record, and finishes it.
-Status WriteFrame(const RouterState& state, uint64_t config_fingerprint, AttrTable& table,
-                  FrameWriter& frame) {
+// Reads a reference written by PutAttrRef into `out`: a set already in
+// `defined`, or the next set's inline record, which is interned and added.
+Status ReadAttrRef(ByteReader& r, std::vector<InternedAttrs>& defined, InternedAttrs& out) {
+  DICE_ASSIGN_OR_RETURN(uint32_t index, r.ReadU32());
+  if (index < defined.size()) {
+    out = defined[index];
+    return Status::Ok();
+  }
+  if (index > defined.size()) {
+    return InvalidArgumentError(
+        StrFormat("router state snapshot: forward attribute reference %u (%zu sets defined)",
+                  index, defined.size()));
+  }
+  DICE_ASSIGN_OR_RETURN(out, dice::bgp::DecodeAttrRecord(r, kWhat, index));
+  defined.push_back(out);
+  return Status::Ok();
+}
+
+// The one walk: writes the frame, draining it after every record, and
+// finishes it.
+Status WriteFrame(const RouterState& state, uint64_t config_fingerprint, FrameWriter& frame) {
+  AttrTable table;
   ByteWriter& body = frame.body();
   body.PutU64(config_fingerprint);
-  DICE_RETURN_IF_ERROR(table.Serialize(frame));
 
   // RIB: sequence counter, then entries in prefix order.
   body.PutU64(state.rib.next_sequence());
@@ -95,7 +96,7 @@ Status WriteFrame(const RouterState& state, uint64_t config_fingerprint, AttrTab
     for (const Route& route : entry.routes) {
       body.PutU32(route.peer);
       body.PutU32(route.peer_as);
-      body.PutU32(table.IndexOf(route.attrs));
+      PutAttrRef(body, table, route.attrs);
       body.PutU64(route.sequence);
     }
     body.PutU32(entry.best == RibEntry::kNoBest ? kNoBestWire
@@ -112,7 +113,7 @@ Status WriteFrame(const RouterState& state, uint64_t config_fingerprint, AttrTab
     body.PutU32(static_cast<uint32_t>(trie.size()));
     trie.Walk([&](const Prefix& prefix, const InternedAttrs& attrs) {
       dice::bgp::EncodePrefix(body, prefix);
-      body.PutU32(table.IndexOf(attrs));
+      PutAttrRef(body, table, attrs);
       drained = frame.Drain();
       return drained.ok();
     });
@@ -128,22 +129,23 @@ Status WriteFrame(const RouterState& state, uint64_t config_fingerprint, AttrTab
   return frame.Finish();
 }
 
+Status OutOfOrder(const Prefix& prefix) {
+  return InvalidArgumentError(
+      StrFormat("router state snapshot: record %s is not after the previous one in walk order",
+                prefix.ToString().c_str()));
+}
+
 }  // namespace
 
 Status SerializeRouterState(const RouterState& state, uint64_t config_fingerprint,
                             ByteSink& sink) {
-  AttrTable table;
-  IndexAttrs(state, table);
   FrameWriter frame(sink, kRouterStateSnapshotMagic, kRouterStateSnapshotVersion);
-  return WriteFrame(state, config_fingerprint, table, frame);
+  return WriteFrame(state, config_fingerprint, frame);
 }
 
 Bytes SerializeRouterState(const RouterState& state, uint64_t config_fingerprint) {
-  AttrTable table;
-  const size_t tail_size = IndexAttrs(state, table);
-  BytesSink sink(kFrameHeaderSize + 8 + table.SerializedSize() + tail_size);
-  FrameWriter frame(sink, kRouterStateSnapshotMagic, kRouterStateSnapshotVersion);
-  const Status written = WriteFrame(state, config_fingerprint, table, frame);
+  BytesSink sink;
+  const Status written = SerializeRouterState(state, config_fingerprint, sink);
   DICE_CHECK(written.ok()) << written.ToString();  // memory does not fail
   return sink.Take();
 }
@@ -164,11 +166,10 @@ StatusOr<RouterState> LoadRouterState(const Bytes& bytes,
         static_cast<unsigned long long>(config_fingerprint)));
   }
 
-  std::vector<InternedAttrs> attrs;
-  DICE_RETURN_IF_ERROR(bgp::LoadAttrTable(r, kWhat, attrs));
-
   RouterState state;
   state.config = std::move(config);
+  // The attribute sets defined so far, by index.
+  std::vector<InternedAttrs> attrs;
 
   DICE_ASSIGN_OR_RETURN(uint64_t next_sequence, r.ReadU64());
   DICE_ASSIGN_OR_RETURN(uint32_t prefix_count, r.ReadU32());
@@ -178,11 +179,12 @@ StatusOr<RouterState> LoadRouterState(const Bytes& bytes,
     return InvalidArgumentError(StrFormat(
         "router state snapshot: prefix count %u exceeds buffer capacity", prefix_count));
   }
+  bgp::Rib::Trie::Builder rib;
   for (uint32_t p = 0; p < prefix_count; ++p) {
     DICE_ASSIGN_OR_RETURN(Prefix prefix, dice::bgp::DecodePrefix(r));
     RibEntry entry;
     DICE_ASSIGN_OR_RETURN(uint32_t route_count, r.ReadU32());
-    // peer + peer_as + attr index + sequence.
+    // peer + peer_as + attr reference + sequence.
     if (route_count > r.remaining() / (4 + 4 + 4 + 8)) {
       return InvalidArgumentError(StrFormat(
           "router state snapshot: route count %u exceeds buffer capacity", route_count));
@@ -192,7 +194,7 @@ StatusOr<RouterState> LoadRouterState(const Bytes& bytes,
       Route route;
       DICE_ASSIGN_OR_RETURN(route.peer, r.ReadU32());
       DICE_ASSIGN_OR_RETURN(route.peer_as, r.ReadU32());
-      DICE_RETURN_IF_ERROR(bgp::ReadAttrIndex(r, kWhat, attrs, route.attrs));
+      DICE_RETURN_IF_ERROR(ReadAttrRef(r, attrs, route.attrs));
       DICE_ASSIGN_OR_RETURN(route.sequence, r.ReadU64());
       if (route.sequence >= next_sequence) {
         return InvalidArgumentError(StrFormat(
@@ -212,9 +214,11 @@ StatusOr<RouterState> LoadRouterState(const Bytes& bytes,
           "router state snapshot: best index %u out of range (%zu routes)", best_wire,
           entry.routes.size()));
     }
-    state.rib.RestoreEntry(prefix, std::move(entry));
+    if (!rib.Append(prefix, std::move(entry))) {
+      return OutOfOrder(prefix);
+    }
   }
-  state.rib.RestoreNextSequence(next_sequence);
+  state.rib = bgp::Rib::Restore(rib.Take(), next_sequence);
 
   DICE_ASSIGN_OR_RETURN(uint32_t peer_count, r.ReadU32());
   if (peer_count > r.remaining() / (4 + 4)) {
@@ -227,19 +231,22 @@ StatusOr<RouterState> LoadRouterState(const Bytes& bytes,
       return InvalidArgumentError(
           StrFormat("router state snapshot: duplicate adj-out peer %u", peer));
     }
-    auto& trie = state.adj_out[peer];
     DICE_ASSIGN_OR_RETURN(uint32_t entry_count, r.ReadU32());
     if (entry_count > r.remaining() / (1 + 4)) {
       return InvalidArgumentError(StrFormat(
           "router state snapshot: adj-out entry count %u exceeds buffer capacity",
           entry_count));
     }
+    bgp::PrefixTrie<InternedAttrs>::Builder trie;
     for (uint32_t e = 0; e < entry_count; ++e) {
       DICE_ASSIGN_OR_RETURN(Prefix prefix, dice::bgp::DecodePrefix(r));
       InternedAttrs handle;
-      DICE_RETURN_IF_ERROR(bgp::ReadAttrIndex(r, kWhat, attrs, handle));
-      trie.Insert(prefix, std::move(handle));
+      DICE_RETURN_IF_ERROR(ReadAttrRef(r, attrs, handle));
+      if (!trie.Append(prefix, std::move(handle))) {
+        return OutOfOrder(prefix);
+      }
     }
+    state.adj_out.emplace(peer, trie.Take());
   }
 
   DICE_ASSIGN_OR_RETURN(state.updates_processed, r.ReadU64());

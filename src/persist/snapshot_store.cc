@@ -89,6 +89,12 @@ StatusOr<uint64_t> SnapshotStore::LoadLatest(
       if (verdict.ok()) {
         return *it;
       }
+      if (verdict.code() == StatusCode::kFailedPrecondition) {
+        // Intact, but taken under other inputs, which may come back: keep
+        // the file and try an older generation.
+        DICE_LOG(kInfo) << "skipping snapshot " << file << ": " << verdict.ToString();
+        continue;
+      }
     } else {
       verdict = bytes.status();
     }

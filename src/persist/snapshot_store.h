@@ -7,12 +7,16 @@
 // therefore never take the previous good generation with it.
 //
 // LoadLatest() walks generations newest-first and hands each file's bytes to
-// the caller's parser. A file that fails to parse (torn tail, flipped bit,
-// version skew — anything the framed format rejects) is quarantined: renamed
-// to `<file>.corrupt-<micros>` so it survives for inspection but never
-// shadows an older good generation or a future Save. If no generation
-// parses, LoadLatest returns NotFound — the caller cold-starts. Wrong bytes
-// are never returned; corruption costs warmth, never correctness.
+// the caller's parser. A parse that fails with FailedPrecondition marks an
+// intact snapshot taken under other inputs (a router state whose fingerprint
+// does not match): the file is kept, since those inputs may come back, and
+// the walk goes on to the next older generation. A file that cannot be read
+// or parsed (torn tail, flipped bit, version skew — anything the framed
+// format rejects) is quarantined: renamed to `<file>.corrupt-<micros>` so it
+// survives for inspection but never shadows an older good generation or a
+// future Save. If no generation loads, LoadLatest returns NotFound — the
+// caller cold-starts. Wrong bytes are never returned; corruption costs
+// warmth, never correctness.
 
 #ifndef SRC_PERSIST_SNAPSHOT_STORE_H_
 #define SRC_PERSIST_SNAPSHOT_STORE_H_
@@ -40,10 +44,11 @@ class SnapshotStore {
   [[nodiscard]] StatusOr<uint64_t> Save(const Bytes& bytes);
 
   // Newest-first: reads each generation and calls `parse` on its bytes.
-  // Returns the generation whose bytes `parse` accepted. Files whose read or
-  // parse fails are quarantined and the walk continues with the previous
-  // generation. NotFoundError when no generation exists or parses (cold
-  // start); the caller decides what that means.
+  // Returns the generation whose bytes `parse` accepted. A parse that fails
+  // with FailedPrecondition skips its file; files whose read or parse fails
+  // otherwise are quarantined. Either way the walk continues with the
+  // previous generation. NotFoundError when no generation exists or loads
+  // (cold start); the caller decides what that means.
   [[nodiscard]] StatusOr<uint64_t> LoadLatest(
       const std::function<Status(const Bytes&)>& parse);
 

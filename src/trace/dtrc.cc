@@ -1,5 +1,6 @@
 #include "src/trace/dtrc.h"
 
+#include <cstdio>
 #include <utility>
 
 #include "src/bgp/wire.h"
@@ -163,6 +164,35 @@ Status StreamTrace(Bytes content, const std::function<void(const TraceEvent&)>& 
     visit(event);
   }
   return Status::Ok();
+}
+
+StatusOr<Bytes> TableSourceIdentity(const std::string& trace_path,
+                                    const TraceGeneratorOptions& synthetic) {
+  if (trace_path.empty()) {
+    const std::string description =
+        StrFormat("synthetic:%llu:%llu", static_cast<unsigned long long>(synthetic.seed),
+                  static_cast<unsigned long long>(synthetic.prefix_count));
+    return Bytes(description.begin(), description.end());
+  }
+  std::FILE* file = std::fopen(trace_path.c_str(), "rb");
+  if (file == nullptr) {
+    return NotFoundError("cannot open " + trace_path);
+  }
+  Bytes identity(kFrameHeaderSize);
+  identity.resize(std::fread(identity.data(), 1, identity.size(), file));
+  if (identity.size() < kFrameHeaderSize || !HasTraceMagic(identity.data(), identity.size())) {
+    // A text trace: all of it.
+    uint8_t chunk[4096];
+    for (size_t n; (n = std::fread(chunk, 1, sizeof(chunk), file)) > 0;) {
+      identity.insert(identity.end(), chunk, chunk + n);
+    }
+  }
+  const bool failed = std::ferror(file) != 0;
+  std::fclose(file);
+  if (failed) {
+    return InternalError("cannot read " + trace_path);
+  }
+  return identity;
 }
 
 StatusOr<Bytes> SerializeTraceBinary(const Trace& trace) {

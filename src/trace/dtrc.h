@@ -30,6 +30,7 @@
 #define SRC_TRACE_DTRC_H_
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "src/bgp/attr_codec.h"
@@ -108,6 +109,20 @@ class TraceReader {
 // builds state from them must discard that state on error.
 [[nodiscard]] Status StreamTrace(Bytes content,
                                  const std::function<void(const TraceEvent&)>& visit);
+
+// The identity of a router's table source, which persist::StateFingerprint
+// hashes so that a router-state snapshot only reloads under the source that
+// produced it:
+//   - a .dtrc corpus (`trace_path` names a file that starts with the frame
+//     magic): its 10-byte frame header — magic, version and the FNV-1a
+//     checksum of the body, which stands for the body. Only the header is
+//     read. A body edited under an unchanged header therefore keeps its
+//     identity, but every decode verifies the body against the header.
+//   - a text trace: all of its bytes.
+//   - the synthetic table (`trace_path` empty): its description, the
+//     generator's seed and prefix count from `synthetic`.
+[[nodiscard]] StatusOr<Bytes> TableSourceIdentity(const std::string& trace_path,
+                                                  const TraceGeneratorOptions& synthetic);
 
 // Whole-trace conveniences over the streaming pair.
 [[nodiscard]] StatusOr<Bytes> SerializeTraceBinary(const Trace& trace);

@@ -347,40 +347,53 @@ TEST_F(DtrcCorruption, DiceCliSavesNoStateFromABadCorpus) {
   std::filesystem::remove_all(dir);
 }
 
-// A warm restart frees the corpus once it is fingerprinted, before it reads
-// the snapshot. When no generation loads — here the --inject spec changed, so
-// the fingerprint no longer matches — it reads the corpus again and
-// cold-starts from what it read: the snapshot it writes must warm-load under
-// the same inputs and explore to the same digest.
+// The line of `output` that starts with `key`, or "".
+std::string OutputLine(const std::string& output, const std::string& key) {
+  const size_t at = output.find(key);
+  return at == std::string::npos ? std::string() : output.substr(at, output.find('\n', at) - at);
+}
+
+void WriteCorpus(const std::filesystem::path& path, const Bytes& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good());
+}
+
+// The names of the files in `dir` (none if it does not exist).
+std::vector<std::string> FileNames(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  if (std::filesystem::exists(dir)) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      names.push_back(entry.path().filename().string());
+    }
+  }
+  return names;
+}
+
+// A warm restart reads only the corpus's frame header. When no generation
+// loads — here the --inject spec changed, so the fingerprint no longer
+// matches and the generation is skipped — it reads the whole corpus and
+// cold-starts from it: the snapshot it writes must warm-load under the same
+// inputs and explore to the same digest.
 TEST(DtrcCliTest, ColdFallbackRereadsTheCorpus) {
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) / "dice_dtrc_cold_fallback";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::filesystem::path corpus = dir / "corpus.dtrc";
-  {
-    const Bytes bytes = *SerializeTraceBinary(CorpusTrace());
-    std::ofstream out(corpus, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    ASSERT_TRUE(out.good());
-  }
+  WriteCorpus(corpus, *SerializeTraceBinary(CorpusTrace()));
   const std::string args = "--config=" DICE_TESTDATA_DIR "/provider.conf --trace=" +
                            corpus.string() + " --state_dir=" + (dir / "state").string() +
                            " --runs=32";
-  // The line of `output` that starts with `key`, or "".
-  auto line = [](const std::string& output, const std::string& key) {
-    const size_t at = output.find(key);
-    return at == std::string::npos ? std::string() : output.substr(at, output.find('\n', at) - at);
-  };
 
   const CliRun first = RunCli(args + " --inject=203.0.113.0/24:64500");
   EXPECT_NE(first.output.find("cold start:"), std::string::npos) << first.output;
   const CliRun fallback = RunCli(args + " --inject=198.51.100.0/24:64501");
   EXPECT_NE(fallback.output.find("fingerprint mismatch"), std::string::npos) << fallback.output;
   EXPECT_NE(fallback.output.find("cold start:"), std::string::npos) << fallback.output;
-  EXPECT_FALSE(line(first.output, "loaded trace").empty()) << first.output;
-  EXPECT_EQ(line(fallback.output, "loaded trace"), line(first.output, "loaded trace"))
+  EXPECT_FALSE(OutputLine(first.output, "loaded trace").empty()) << first.output;
+  EXPECT_EQ(OutputLine(fallback.output, "loaded trace"), OutputLine(first.output, "loaded trace"))
       << "the fallback must ingest the whole corpus again";
   EXPECT_NE(fallback.output.find("router state snapshot: generation"), std::string::npos)
       << fallback.output;
@@ -390,8 +403,94 @@ TEST(DtrcCliTest, ColdFallbackRereadsTheCorpus) {
   for (const CliRun* run : {&first, &fallback, &warm}) {
     EXPECT_TRUE(run->exit_code == 0 || run->exit_code == 3) << run->output;
   }
-  EXPECT_FALSE(line(fallback.output, "detections_digest=").empty()) << fallback.output;
-  EXPECT_EQ(line(warm.output, "detections_digest="), line(fallback.output, "detections_digest="));
+  EXPECT_FALSE(OutputLine(fallback.output, "detections_digest=").empty()) << fallback.output;
+  EXPECT_EQ(OutputLine(warm.output, "detections_digest="),
+            OutputLine(fallback.output, "detections_digest="));
+  std::filesystem::remove_all(dir);
+}
+
+// A generation taken under other inputs is skipped, not quarantined: after
+// runs with --inject A, then B, a run with A again warm-starts from A's
+// generation and explores to A's digest, and no file is quarantined.
+TEST(DtrcCliTest, InputsSwitchedBackWarmStartTheirGeneration) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "dice_dtrc_switch_back";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path corpus = dir / "corpus.dtrc";
+  WriteCorpus(corpus, *SerializeTraceBinary(CorpusTrace()));
+  const std::string args = "--config=" DICE_TESTDATA_DIR "/provider.conf --trace=" +
+                           corpus.string() + " --state_dir=" + (dir / "state").string() +
+                           " --runs=32";
+  const std::string a = " --inject=203.0.113.0/24:64500";
+  const std::string b = " --inject=198.51.100.0/24:64501";
+
+  const CliRun first = RunCli(args + a);
+  EXPECT_NE(first.output.find("cold start:"), std::string::npos) << first.output;
+  const CliRun other = RunCli(args + b);
+  EXPECT_NE(other.output.find("cold start:"), std::string::npos) << other.output;
+  const CliRun again = RunCli(args + a);
+  EXPECT_NE(again.output.find("warm restart: router state generation 1 "), std::string::npos)
+      << again.output;
+  for (const CliRun* run : {&first, &other, &again}) {
+    EXPECT_TRUE(run->exit_code == 0 || run->exit_code == 3) << run->output;
+  }
+  EXPECT_FALSE(OutputLine(first.output, "detections_digest=").empty()) << first.output;
+  EXPECT_EQ(OutputLine(again.output, "detections_digest="),
+            OutputLine(first.output, "detections_digest="));
+  for (const std::string& name : FileNames(dir / "state")) {
+    EXPECT_EQ(name.find(".corrupt-"), std::string::npos) << name;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A .dtrc corpus is identified by its frame header. A warm restart reads
+// nothing else, so a body edited under an unchanged header still warm-loads
+// the generation its header produced; a cold start decodes the body, so the
+// same corpus fails the checksum there and saves nothing. A regenerated
+// corpus has another header and cold-starts.
+TEST(DtrcCliTest, WarmRestartReadsOnlyTheCorpusHeader) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "dice_dtrc_header_identity";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path corpus = dir / "corpus.dtrc";
+  Bytes bytes = *SerializeTraceBinary(CorpusTrace());
+  WriteCorpus(corpus, bytes);
+  const std::string args = "--config=" DICE_TESTDATA_DIR "/provider.conf --trace=" +
+                           corpus.string() + " --runs=32 --state_dir=";
+  const std::string state = (dir / "state").string();
+
+  const CliRun cold = RunCli(args + state);
+  EXPECT_NE(cold.output.find("cold start:"), std::string::npos) << cold.output;
+  EXPECT_FALSE(OutputLine(cold.output, "detections_digest=").empty()) << cold.output;
+
+  bytes[kFrameHeaderSize + (bytes.size() - kFrameHeaderSize) / 2] ^= 0x01u;
+  WriteCorpus(corpus, bytes);
+  const CliRun warm = RunCli(args + state);
+  EXPECT_NE(warm.output.find("warm restart: router state generation 1 "), std::string::npos)
+      << warm.output;
+  EXPECT_EQ(OutputLine(warm.output, "detections_digest="),
+            OutputLine(cold.output, "detections_digest="));
+  for (const CliRun* run : {&cold, &warm}) {
+    EXPECT_TRUE(run->exit_code == 0 || run->exit_code == 3) << run->output;
+  }
+
+  const std::filesystem::path fresh = dir / "fresh";
+  const CliRun refused = RunCli(args + fresh.string());
+  EXPECT_EQ(refused.exit_code, 1) << refused.output;
+  EXPECT_NE(refused.output.find("trace error: INVALID_ARGUMENT: dtrc trace: checksum mismatch"),
+            std::string::npos)
+      << refused.output;
+  for (const std::string& name : FileNames(fresh)) {
+    EXPECT_NE(name.rfind("router_state.", 0), 0u) << "snapshot left behind: " << name;
+  }
+
+  WriteCorpus(corpus, *SerializeTraceBinary(CorpusTrace(2)));
+  const CliRun regenerated = RunCli(args + state);
+  EXPECT_NE(regenerated.output.find("cold start:"), std::string::npos) << regenerated.output;
+  EXPECT_NE(regenerated.output.find("router state snapshot: generation 2 "), std::string::npos)
+      << regenerated.output;
   std::filesystem::remove_all(dir);
 }
 

@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/bgp/attr_codec.h"
 #include "src/bgp/attr_intern.h"
+#include "src/bgp/wire.h"
 #include "src/dice/explorer.h"
 #include "src/persist/env.h"
 #include "src/persist/query_cache_snapshot.h"
@@ -287,16 +290,13 @@ TEST(RouterStateSnapshotTest, RoundTripIsBitIdentical) {
       << "restored state must re-serialize to the identical bytes";
 }
 
-// The DXRS bytes of PopulatedState(), pinned: snapshot directories written
-// by earlier builds must keep loading, so a serializer change may not move a
-// byte without bumping kRouterStateSnapshotVersion. The serializer sizes its
-// buffer during its indexing walk; a size that drifted from what it writes
-// would leave capacity and size apart.
-TEST(RouterStateSnapshotTest, BytesArePinnedAndWrittenInOneAllocation) {
+// The DXRS v2 bytes of PopulatedState(), pinned: snapshot directories
+// written by earlier builds must keep loading, so a serializer change may
+// not move a byte without bumping kRouterStateSnapshotVersion.
+TEST(RouterStateSnapshotTest, BytesArePinned) {
   const Bytes snapshot = persist::SerializeRouterState(PopulatedState(), kFingerprint);
-  EXPECT_EQ(snapshot.size(), 453u);
-  EXPECT_EQ(BodyChecksum(snapshot.data(), snapshot.size()), 0xfb30f06cu);
-  EXPECT_EQ(snapshot.capacity(), snapshot.size());
+  EXPECT_EQ(snapshot.size(), 449u);
+  EXPECT_EQ(BodyChecksum(snapshot.data(), snapshot.size()), 0x00f2eeacu);
 }
 
 // The state fingerprint is the checksum of the joined inputs, computed
@@ -377,37 +377,125 @@ TEST(RouterStateSnapshotTest, StreamedBytesMatchInMemoryChunkByChunk) {
   }
 }
 
-// The stored-hash tripwire behind the frame checksum: a checksum-valid
-// snapshot whose first attribute record carries its hash off by one must be
-// refused by the hash check, and the set it interned on the way must be
-// gone again.
-TEST(RouterStateSnapshotTest, StoredHashOffByOneIsAnErrorAndInternsNothing) {
-  Bytes snapshot;
-  std::shared_ptr<const bgp::RouterConfig> config;
-  {
-    bgp::RouterState state = PopulatedState();
-    config = state.config;
-    snapshot = persist::SerializeRouterState(state, kFingerprint);
-  }
-  // The body leads with the fingerprint and the attribute count.
-  Bytes body(snapshot.begin() + kFrameHeaderSize, snapshot.end());
-  constexpr size_t kFirstHash = 8 + 4;
-  ByteReader hash_reader(body.data() + kFirstHash, 8);
-  const uint64_t bumped = hash_reader.ReadU64().value() + 1;
-  for (int i = 0; i < 8; ++i) {
-    body[kFirstHash + i] = static_cast<uint8_t>(bumped >> (56 - 8 * i));
-  }
-  const Bytes corrupt = FrameMessage(persist::kRouterStateSnapshotMagic,
-                                     persist::kRouterStateSnapshotVersion, body);
+// --- router state: structural corruption behind a valid checksum -----------
 
+// One RIB record of a hand-built v2 frame: a single route whose attribute
+// reference is `index`, followed by an inline record of `defines` when set,
+// its stored hash off by `hash_offset`.
+struct RibRecord {
+  const char* prefix;
+  uint32_t index;
+  std::optional<bgp::PathAttributes> defines;
+  uint64_t hash_offset = 0;
+};
+
+// A distinct attribute set that nothing else in the process holds.
+bgp::PathAttributes FreshAttrs(uint32_t tag) {
+  bgp::PathAttributes attrs;
+  attrs.origin = bgp::Origin::kIgp;
+  attrs.as_path = bgp::AsPath::Sequence({9, 64999});
+  attrs.next_hop = *bgp::Ipv4Address::Parse("10.0.0.9");
+  attrs.communities.push_back(0xfeed0000u + tag);
+  return attrs;
+}
+
+// A DXRS frame over `records` (no Adj-RIB-Out, zero counters), framed with
+// FrameMessage so that its checksum is valid and only the loader's own
+// checks can refuse it.
+Bytes RouterStateFrame(const std::vector<RibRecord>& records,
+                       uint16_t version = persist::kRouterStateSnapshotVersion) {
+  ByteWriter body;
+  body.PutU64(kFingerprint);
+  body.PutU64(records.size() + 1);  // next sequence
+  body.PutU32(static_cast<uint32_t>(records.size()));
+  uint64_t sequence = 1;
+  for (const RibRecord& record : records) {
+    bgp::EncodePrefix(body, P(record.prefix));
+    body.PutU32(1);  // routes
+    body.PutU32(9);  // peer
+    body.PutU32(9);  // peer AS
+    body.PutU32(record.index);
+    if (record.defines.has_value()) {
+      body.PutU64(bgp::HashAttrs(*record.defines) + record.hash_offset);
+      bgp::EncodeAttrs(body, *record.defines);
+    }
+    body.PutU64(sequence++);
+    body.PutU32(0);  // best
+  }
+  body.PutU32(0);  // Adj-RIB-Out peers
+  for (int i = 0; i < 6; ++i) {
+    body.PutU64(0);  // counters
+  }
+  return FrameMessage(persist::kRouterStateSnapshotMagic, version, body.bytes());
+}
+
+StatusOr<bgp::RouterState> LoadFrame(const Bytes& bytes) {
+  return persist::LoadRouterState(bytes, std::make_shared<const bgp::RouterConfig>(),
+                                  kFingerprint);
+}
+
+// `records` with one fault must be refused as InvalidArgument naming
+// `reason`, and leave no attribute set interned on its behalf; `intact` (the
+// same records without the fault) must load.
+void ExpectRefusedAndInternsNothing(const std::vector<RibRecord>& intact,
+                                    const std::vector<RibRecord>& records,
+                                    const std::string& reason) {
+  {
+    StatusOr<bgp::RouterState> loaded = LoadFrame(RouterStateFrame(intact));
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(loaded->rib.PrefixCount(), intact.size());
+  }
   const size_t live_before = bgp::AttrInternTableStats().live_entries;
-  StatusOr<bgp::RouterState> restored =
-      persist::LoadRouterState(corrupt, config, kFingerprint);
+  StatusOr<bgp::RouterState> restored = LoadFrame(RouterStateFrame(records));
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument) << restored.status();
+  EXPECT_NE(restored.status().message().find(reason), std::string::npos) << restored.status();
+  EXPECT_EQ(bgp::AttrInternTableStats().live_entries, live_before);
+}
+
+// The stored-hash tripwire behind the frame checksum: the first inline
+// definition carries its hash off by one. The hash check must refuse it, and
+// the set it interned on the way must be gone again.
+TEST(RouterStateSnapshotTest, StoredHashOffByOneIsAnErrorAndInternsNothing) {
+  ExpectRefusedAndInternsNothing({{"10.1.0.0/16", 0, FreshAttrs(1)}},
+                                 {{"10.1.0.0/16", 0, FreshAttrs(1), 1}},
+                                 "attribute 0 hash mismatch");
+}
+
+// An index above the number of sets defined so far refers to a set that has
+// not been defined.
+TEST(RouterStateSnapshotTest, ForwardAttributeReferenceIsAnError) {
+  ExpectRefusedAndInternsNothing(
+      {{"10.1.0.0/16", 0, FreshAttrs(2)}, {"10.2.0.0/16", 1, FreshAttrs(3)}},
+      {{"10.1.0.0/16", 0, FreshAttrs(2)}, {"10.2.0.0/16", 2, FreshAttrs(3)}},
+      "forward attribute reference 2 (1 sets defined)");
+}
+
+TEST(RouterStateSnapshotTest, RecordOutOfWalkOrderIsAnError) {
+  ExpectRefusedAndInternsNothing(
+      {{"10.1.0.0/16", 0, FreshAttrs(4)}, {"10.1.0.0/24", 0, {}}},
+      {{"10.1.0.0/24", 0, FreshAttrs(4)}, {"10.1.0.0/16", 0, {}}},
+      "record 10.1.0.0/16 is not after the previous one in walk order");
+}
+
+// v1 loaded a repeated record by overwriting the first; v2 refuses it.
+TEST(RouterStateSnapshotTest, DuplicateRecordIsAnError) {
+  ExpectRefusedAndInternsNothing(
+      {{"10.1.0.0/16", 0, FreshAttrs(5)}, {"10.3.0.0/16", 0, {}}},
+      {{"10.1.0.0/16", 0, FreshAttrs(5)}, {"10.1.0.0/16", 0, {}}},
+      "record 10.1.0.0/16 is not after the previous one in walk order");
+}
+
+// A version-1 snapshot, written before the attribute table moved inline, is
+// version skew: its state directory cold-starts.
+TEST(RouterStateSnapshotTest, VersionOneIsRefused) {
+  const Bytes v1 = RouterStateFrame({{"10.1.0.0/16", 0, FreshAttrs(6)}}, 1);
+  StatusOr<bgp::RouterState> restored = LoadFrame(v1);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(restored.status().message().find("attribute 0 hash mismatch"), std::string::npos)
+  EXPECT_NE(restored.status().message().find("unsupported wire version 1 (want 2)"),
+            std::string::npos)
       << restored.status();
-  EXPECT_EQ(bgp::AttrInternTableStats().live_entries, live_before);
 }
 
 TEST(RouterStateSnapshotTest, FingerprintMismatchIsFailedPrecondition) {

@@ -386,6 +386,35 @@ TEST(SnapshotStoreTest, CorruptNewestIsQuarantinedAndPreviousLoads) {
   EXPECT_EQ(*g3, 2u);
 }
 
+// A parse that fails with FailedPrecondition marks an intact snapshot taken
+// under other inputs: the walk goes on to the older generation, and the file
+// stays, unquarantined, for when those inputs come back.
+TEST(SnapshotStoreTest, FailedPreconditionSkipsTheGenerationAndKeepsIt) {
+  MemEnv env;
+  SnapshotStore store(env, "/state", "cache");
+  ASSERT_TRUE(store.Save(Framed("mine")).ok());
+  ASSERT_TRUE(store.Save(Framed("theirs")).ok());
+
+  std::string payload;
+  auto generation = store.LoadLatest([&](const Bytes& b) -> Status {
+    DICE_RETURN_IF_ERROR(ParseFramed(b, &payload));
+    return payload == "mine" ? Status::Ok()
+                             : FailedPreconditionError("fingerprint mismatch");
+  });
+  ASSERT_TRUE(generation.ok()) << generation.status();
+  EXPECT_EQ(*generation, 1u);
+  EXPECT_EQ(payload, "mine");
+  EXPECT_EQ(store.quarantined(), 0u);
+  auto names = env.ListDir("/state");
+  ASSERT_TRUE(names.ok());
+  for (const std::string& name : *names) {
+    EXPECT_EQ(name.find(".corrupt-"), std::string::npos) << name;
+  }
+  auto generations = store.Generations();
+  ASSERT_TRUE(generations.ok());
+  EXPECT_EQ(*generations, (std::vector<uint64_t>{1, 2}));
+}
+
 TEST(SnapshotStoreTest, IgnoresForeignAndMalformedNames) {
   MemEnv env;
   ASSERT_TRUE(env.CreateDir("/state").ok());

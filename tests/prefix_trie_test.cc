@@ -326,6 +326,101 @@ TEST_P(TrieVsMapProperty, MatchesStdMapUnderRandomOps) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrieVsMapProperty, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
+// --- ordered construction ---------------------------------------------------------
+
+// The (key, has_value) sequence of an LPM descent.
+std::vector<std::pair<Prefix, bool>> Descent(const PrefixTrie<uint32_t>& trie,
+                                             Ipv4Address addr) {
+  std::vector<std::pair<Prefix, bool>> out;
+  trie.WalkDescent(addr, [&](const Prefix& key, bool has_value) {
+    out.push_back({key, has_value});
+  });
+  return out;
+}
+
+std::vector<std::pair<Prefix, uint32_t>> Entries(const PrefixTrie<uint32_t>& trie) {
+  std::vector<std::pair<Prefix, uint32_t>> out;
+  trie.Walk([&](const Prefix& p, const uint32_t& v) {
+    out.push_back({p, v});
+    return true;
+  });
+  return out;
+}
+
+// Random key sets from a small address pool, so keys nest, share addresses
+// at several lengths, and fork at every depth; /0 and /32 keys included. The
+// trie built in walk order must be the one Inserts in random order build,
+// node for node: same node count, entries, LPM descents and matches.
+TEST(PrefixTrieBuilderTest, BuildsTheTrieInsertBuilds) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    auto random_address = [&] {
+      return Ipv4Address(static_cast<uint32_t>(rng.NextBelow(4)) << 30 |
+                         static_cast<uint32_t>(rng.NextBelow(8)) << 20 |
+                         static_cast<uint32_t>(rng.NextBelow(4)) << 8 |
+                         static_cast<uint32_t>(rng.NextBelow(3)));
+    };
+    Model model;
+    if (seed % 2 == 0) {
+      model[P("0.0.0.0/0")] = 0;
+    }
+    const size_t keys = 1 + rng.NextBelow(400);
+    while (model.size() < keys) {
+      const uint8_t len = rng.NextBelow(4) == 0 ? 32 : static_cast<uint8_t>(rng.NextBelow(33));
+      model[Prefix::Make(random_address(), len)] = rng.NextU32();
+    }
+
+    std::vector<std::pair<Prefix, uint32_t>> shuffled(model.begin(), model.end());
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.NextBelow(i)]);
+    }
+    PrefixTrie<uint32_t> inserted;
+    for (const auto& [p, v] : shuffled) {
+      inserted.Insert(p, v);
+    }
+    PrefixTrie<uint32_t>::Builder builder;
+    for (const auto& [p, v] : model) {
+      ASSERT_TRUE(builder.Append(p, v)) << p.ToString();
+    }
+    const PrefixTrie<uint32_t> built = builder.Take();
+
+    EXPECT_EQ(built.size(), model.size()) << "seed " << seed;
+    EXPECT_EQ(built.NodeCount(), inserted.NodeCount()) << "seed " << seed;
+    EXPECT_EQ(Entries(built), Entries(inserted)) << "seed " << seed;
+    for (int q = 0; q < 300; ++q) {
+      const Ipv4Address addr = random_address();
+      EXPECT_EQ(Descent(built, addr), Descent(inserted, addr)) << "seed " << seed;
+      const auto a = built.LongestMatch(addr);
+      const auto b = inserted.LongestMatch(addr);
+      ASSERT_EQ(a.has_value(), b.has_value()) << "seed " << seed;
+      if (a.has_value()) {
+        EXPECT_EQ(a->first, b->first);
+        EXPECT_EQ(*a->second, *b->second);
+      }
+    }
+  }
+}
+
+TEST(PrefixTrieBuilderTest, RefusesDuplicateAndOutOfOrderKeys) {
+  PrefixTrie<int> reference;
+  PrefixTrie<int>::Builder builder;
+  for (const char* key : {"10.0.0.0/8", "10.0.0.0/16", "10.1.0.0/24"}) {
+    ASSERT_TRUE(builder.Append(P(key), 1)) << key;
+    reference.Insert(P(key), 1);
+  }
+  EXPECT_FALSE(builder.Append(P("10.1.0.0/24"), 2)) << "duplicate";
+  EXPECT_FALSE(builder.Append(P("10.0.0.0/24"), 2)) << "address before the last key's";
+  EXPECT_FALSE(builder.Append(P("10.1.0.0/16"), 2)) << "same address, shorter";
+  EXPECT_TRUE(builder.Append(P("10.1.1.0/24"), 3));
+  reference.Insert(P("10.1.1.0/24"), 3);
+  const PrefixTrie<int> built = builder.Take();
+  EXPECT_EQ(built.size(), 4u);
+  EXPECT_EQ(built.NodeCount(), reference.NodeCount());
+  EXPECT_EQ(*built.Find(P("10.1.0.0/24")), 1) << "a refused append changes nothing";
+  EXPECT_EQ(built.Find(P("10.0.0.0/24")), nullptr);
+  EXPECT_EQ(built.Find(P("10.1.0.0/16")), nullptr);
+}
+
 // --- node ownership ---------------------------------------------------------------
 
 // A value that counts its live instances: a node that leaks keeps its value

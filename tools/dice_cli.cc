@@ -45,10 +45,15 @@
 // --snapshot_every exploration runs, default 64) and the loaded router state
 // as crash-safe generation files, and reloads them on start — a killed
 // process warm-restarts with its learned UNSAT cores. Corrupt or torn
-// snapshots are detected, quarantined, and degrade to a cold start.
+// snapshots are detected, quarantined, and degrade to a cold start; a router
+// state taken under other inputs is skipped, and kept.
+//
+// Exit: once its output is flushed, a run keeps the router state it built or
+// loaded until the process exits rather than freeing it.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -69,6 +74,7 @@
 #include "src/transport/client.h"
 #include "src/transport/server.h"
 #include "src/util/frame.h"
+#include "src/util/logging.h"
 
 namespace dice {
 namespace {
@@ -404,6 +410,18 @@ int RunServe(bench::Flags& flags, const std::string& serve_spec) {
   return 0;
 }
 
+// Holds `state` until the process exits instead of freeing it: a full
+// table's trie nodes, route vectors and attribute sets take tens of
+// milliseconds to free one by one, and the exit returns all of their memory
+// at once. The holder is a global, so LeakSanitizer still sees the state as
+// reachable and reports any other leak (LLVM's BuryPointer does the same
+// for compiler state).
+void KeepUntilExit(bgp::RouterState state) {
+  static bgp::RouterState* kept = nullptr;
+  DICE_CHECK(kept == nullptr);
+  kept = new bgp::RouterState(std::move(state));
+}
+
 int Run(int argc, char** argv) {
   bool help_requested = false;
   if (int rc = ValidateArgs(argc, argv, &help_requested); rc != 0) {
@@ -481,29 +499,20 @@ int Run(int argc, char** argv) {
   // What the table would be built from, hashed into the snapshot fingerprint:
   // a router-state snapshot only loads back under the exact config, table
   // source, and injections that produced it, so a warm restart can never
-  // silently explore a different cold-start state.
+  // silently explore a different cold-start state. A .dtrc corpus is
+  // identified by its frame header, so a warm restart never reads its body.
   persist::PosixEnv persist_env;
   const std::string inject_spec = flags.GetString("inject", "");
-  Bytes table_source;
-  uint64_t state_fingerprint = 0;
-  // Reads the table source (the trace file, or the synthetic table's
-  // description) and fingerprints it.
-  auto read_table_source = [&]() -> Status {
-    if (trace_path.empty()) {
-      const std::string synthetic =
-          StrFormat("synthetic:%llu:%llu", static_cast<unsigned long long>(seed),
-                    static_cast<unsigned long long>(prefixes));
-      table_source.assign(synthetic.begin(), synthetic.end());
-    } else {
-      DICE_ASSIGN_OR_RETURN(table_source, persist_env.ReadFile(trace_path));
-    }
-    state_fingerprint = persist::StateFingerprint(*config_text, table_source, inject_spec);
-    return Status();
-  };
-  if (Status read = read_table_source(); !read.ok()) {
-    std::fprintf(stderr, "error: %s\n", read.ToString().c_str());
+  trace::TraceGeneratorOptions gen_options;
+  gen_options.seed = seed;
+  gen_options.prefix_count = prefixes;
+  auto table_identity = trace::TableSourceIdentity(trace_path, gen_options);
+  if (!table_identity.ok()) {
+    std::fprintf(stderr, "error: %s\n", table_identity.status().ToString().c_str());
     return 1;
   }
+  const uint64_t state_fingerprint =
+      persist::StateFingerprint(*config_text, *table_identity, inject_spec);
 
   std::optional<persist::SnapshotStore> router_store;
   std::optional<persist::SnapshotStore> cache_store;
@@ -514,14 +523,6 @@ int Run(int argc, char** argv) {
 
   bool state_loaded = false;
   if (router_store.has_value()) {
-    // A warm restart needs the corpus only for its fingerprint: with a
-    // generation on disk, the corpus is freed before the snapshot is read,
-    // and read again if no generation loads.
-    auto listed = router_store->Generations();
-    const bool corpus_released = listed.ok() && !listed->empty();
-    if (corpus_released) {
-      Bytes().swap(table_source);
-    }
     auto generation = router_store->LoadLatest([&](const Bytes& bytes) -> Status {
       auto restored = persist::LoadRouterState(bytes, state.config, state_fingerprint);
       if (!restored.ok()) {
@@ -536,14 +537,6 @@ int Run(int argc, char** argv) {
                   static_cast<unsigned long long>(*generation), state_dir.c_str());
     } else {
       std::printf("cold start: %s\n", generation.status().message().c_str());
-      // The cold start builds the state from the source as read now, and
-      // snapshots it under that read's fingerprint.
-      if (corpus_released) {
-        if (Status read = read_table_source(); !read.ok()) {
-          std::fprintf(stderr, "error: %s\n", read.ToString().c_str());
-          return 1;
-        }
-      }
     }
   }
 
@@ -551,12 +544,33 @@ int Run(int argc, char** argv) {
   if (!state_loaded) {
     size_t loaded = 0;
     if (!trace_path.empty()) {
+      // A text trace's identity is all its bytes; a .dtrc corpus is read
+      // whole only now, and refused if its header is no longer the one the
+      // snapshot below is fingerprinted by.
+      Bytes content;
+      if (trace::LooksLikeBinaryTrace(*table_identity)) {
+        auto read = persist_env.ReadFile(trace_path);
+        if (!read.ok()) {
+          std::fprintf(stderr, "error: %s\n", read.status().ToString().c_str());
+          return 1;
+        }
+        if (read->size() < table_identity->size() ||
+            !std::equal(table_identity->begin(), table_identity->end(), read->begin())) {
+          std::fprintf(stderr, "trace error: %s changed while it was read\n",
+                       trace_path.c_str());
+          return 1;
+        }
+        content = std::move(*read);
+      } else {
+        content = std::move(*table_identity);
+      }
       // Each decoded event goes straight into the RIB, and the corpus is
       // freed when the stream ends, before the snapshot below is built. A
-      // decode error exits before anything is saved.
+      // decode error — the body checksum included — exits before anything
+      // is saved.
       size_t events = 0;
       Status streamed =
-          trace::StreamTrace(std::move(table_source), [&](const trace::TraceEvent& ev) {
+          trace::StreamTrace(std::move(content), [&](const trace::TraceEvent& ev) {
             bgp::ProcessUpdate(state, {table_view}, table_view, *table_neighbor, ev.update,
                                discard);
             loaded += ev.update.nlri.size();
@@ -569,9 +583,6 @@ int Run(int argc, char** argv) {
       std::printf("loaded trace %s: %zu events, %zu announced prefixes\n", trace_path.c_str(),
                   events, loaded);
     } else {
-      trace::TraceGeneratorOptions gen_options;
-      gen_options.seed = seed;
-      gen_options.prefix_count = prefixes;
       trace::TraceGenerator generator(gen_options);
       generator.StreamFullDump([&](const trace::TraceEvent& ev) {
         bgp::ProcessUpdate(state, {table_view}, table_view, *table_neighbor, ev.update, discard);
@@ -813,24 +824,28 @@ int Run(int argc, char** argv) {
   }
   std::printf("\n");
 
+  int exit_code = 0;
   if (explorer.local_report().detections.empty()) {
     std::printf("no potential route leaks found within budget.\n");
-    return 0;
+  } else {
+    std::set<std::string> ranges;
+    for (const Detection& d : explorer.local_report().detections) {
+      ranges.insert(d.victim.has_value() ? d.victim->ToString() : d.prefix.ToString());
+    }
+    std::printf("POTENTIAL ROUTE LEAKS — this session can override %zu prefix range(s):\n",
+                ranges.size());
+    for (const std::string& r : ranges) {
+      std::printf("  %s\n", r.c_str());
+    }
+    std::printf("\nfirst triggering input: %s\n",
+                explorer.local_report().detections[0].input.ToString().c_str());
+    std::printf("fix the import policy for %s before a live announcement does this.\n",
+                explore_neighbor->address.ToString().c_str());
+    exit_code = 3;  // findings present
   }
-  std::set<std::string> ranges;
-  for (const Detection& d : explorer.local_report().detections) {
-    ranges.insert(d.victim.has_value() ? d.victim->ToString() : d.prefix.ToString());
-  }
-  std::printf("POTENTIAL ROUTE LEAKS — this session can override %zu prefix range(s):\n",
-              ranges.size());
-  for (const std::string& r : ranges) {
-    std::printf("  %s\n", r.c_str());
-  }
-  std::printf("\nfirst triggering input: %s\n",
-              explorer.local_report().detections[0].input.ToString().c_str());
-  std::printf("fix the import policy for %s before a live announcement does this.\n",
-              explore_neighbor->address.ToString().c_str());
-  return 3;  // findings present
+  std::fflush(stdout);
+  KeepUntilExit(std::move(state));
+  return exit_code;
 }
 
 }  // namespace
