@@ -1,22 +1,18 @@
 // F1i — real-transport head-to-head: the same federated fan-out workload as
 // F1e (bench/federation.h: N remote domains, the adversarial input mix,
-// batched narrow-interface RPCs) executed three ways —
+// batched narrow-interface RPCs) executed two ways —
 //
 //   * in-process  — WireExplorationService: serialized bytes, no boundary;
 //   * tcp socket  — ExplorationServer on a loopback listener, dialed through
-//                   SocketExplorationService (the stub dice_cli uses);
-//   * shared mem  — the same server behind a same-host ShmRingTransport.
+//                   SocketExplorationService (the stub dice_cli uses).
 //
-// The boundary is only allowed to cost time, never results: all three shapes
+// The boundary is only allowed to cost time, never results: both shapes
 // must produce bit-identical NarrowReply streams, and the bench exits
 // non-zero when they do not. The numbers locate the transport tax — how many
 // replies/s each shape sustains, wire bytes per reply, and the p50/p99
 // per-batch round-trip latency.
 //
-// Flags: --remote_domains=N, --remote_batch=N, --rpc_inputs=N, --seed=S,
-// --workers=N (server-side request pool; 0 = inline on the transport thread).
-
-#include <unistd.h>
+// Flags: --remote_domains=N, --remote_batch=N, --rpc_inputs=N, --seed=S.
 
 #include <algorithm>
 #include <cstdio>
@@ -110,17 +106,16 @@ TransportSide RunInProcess(size_t domains, size_t batch_size,
   return side;
 }
 
-// One served shape: the same domains behind an ExplorationServer on
-// `endpoint`, driven through ConnectRemoteDomains stubs like dice_cli's.
-TransportSide RunServed(const transport::Address& endpoint, size_t domains,
-                        size_t batch_size, size_t workers,
+// The served shape: the same domains behind an ExplorationServer on a
+// loopback listener, driven through ConnectRemoteDomains stubs like dice_cli's.
+TransportSide RunServed(size_t domains, size_t batch_size,
                         const std::vector<bgp::UpdateMessage>& inputs) {
-  transport::ExplorationServer server({workers});
+  transport::ExplorationServer server;
   std::vector<uint32_t> ids;
   for (size_t d = 0; d < domains; ++d) {
     ids.push_back(server.AddDomain(MakeFederationDomain(d)));
   }
-  DICE_CHECK(server.AddEndpoint(endpoint).ok());
+  DICE_CHECK(server.AddEndpoint(*transport::Address::Parse("tcp:127.0.0.1:0")).ok());
   DICE_CHECK(server.Start().ok());
   StatusOr<transport::Address> bound = server.BoundAddress(0);
   DICE_CHECK(bound.ok());
@@ -151,24 +146,17 @@ int Run(int argc, char** argv) {
   size_t batch_size = std::max<uint64_t>(1, flags.GetUint("remote_batch", 16));
   uint64_t input_count = flags.GetUint("rpc_inputs", 512);
   uint64_t seed = flags.GetUint("seed", 42);
-  size_t workers = flags.GetUint("workers", 0);
 
   std::printf("F1i — transport head-to-head (%zu remote domains, batch=%zu, "
-              "%llu inputs, %zu server workers)\n\n",
-              domains, batch_size, static_cast<unsigned long long>(input_count), workers);
+              "%llu inputs)\n\n",
+              domains, batch_size, static_cast<unsigned long long>(input_count));
   std::vector<bgp::UpdateMessage> inputs = MakeFederationInputs(input_count, seed);
 
   TransportSide in_process = RunInProcess(domains, batch_size, inputs);
-  TransportSide tcp = RunServed(*transport::Address::Parse("tcp:127.0.0.1:0"), domains,
-                                batch_size, workers, inputs);
-  std::string shm_name = "shm:/dice_f1i_" + std::to_string(getpid());
-  TransportSide shm = RunServed(*transport::Address::Parse(shm_name), domains, batch_size,
-                                workers, inputs);
+  TransportSide tcp = RunServed(domains, batch_size, inputs);
 
-  bool identical = in_process.verdicts == tcp.verdicts &&
-                   in_process.verdicts == shm.verdicts && in_process.errors == 0 &&
-                   tcp.errors == 0 && shm.errors == 0 &&
-                   in_process.verdicts.size() == domains * inputs.size();
+  bool identical = in_process.verdicts == tcp.verdicts && in_process.errors == 0 &&
+                   tcp.errors == 0 && in_process.verdicts.size() == domains * inputs.size();
 
   auto replies_per_sec = [](const TransportSide& s) {
     return s.seconds <= 0 ? 0.0 : static_cast<double>(s.verdicts.size()) / s.seconds;
@@ -190,13 +178,11 @@ int Run(int argc, char** argv) {
   };
   row("in-process (wire codec)", in_process);
   row("tcp socket (loopback)", tcp);
-  row("shared memory (ring)", shm);
   table.Print();
 
   double tcp_tax = replies_per_sec(in_process) / std::max(replies_per_sec(tcp), 1e-9);
-  double shm_tax = replies_per_sec(in_process) / std::max(replies_per_sec(shm), 1e-9);
-  std::printf("\ntransport tax: tcp %.2fx, shm %.2fx vs in-process; verdicts %s\n",
-              tcp_tax, shm_tax, identical ? "identical" : "DIVERGED");
+  std::printf("\ntransport tax: tcp %.2fx vs in-process; verdicts %s\n", tcp_tax,
+              identical ? "identical" : "DIVERGED");
 
   JsonLine json("rpc_transport");
   json.Add("f1i_domains", static_cast<uint64_t>(domains))
@@ -205,16 +191,12 @@ int Run(int argc, char** argv) {
       .Add("f1i_identical", identical)
       .Add("replies_per_sec", replies_per_sec(tcp))
       .Add("replies_per_sec_inproc", replies_per_sec(in_process))
-      .Add("replies_per_sec_shm", replies_per_sec(shm))
       .Add("bytes_per_reply", bytes_per_reply(tcp))
       .Add("p50_us", Percentile(tcp.batch_us, 0.50))
       .Add("p99_us", Percentile(tcp.batch_us, 0.99))
-      .Add("p50_us_shm", Percentile(shm.batch_us, 0.50))
-      .Add("p99_us_shm", Percentile(shm.batch_us, 0.99))
       .Add("p50_us_inproc", Percentile(in_process.batch_us, 0.50))
       .Add("p99_us_inproc", Percentile(in_process.batch_us, 0.99))
-      .Add("f1i_tcp_tax", tcp_tax)
-      .Add("f1i_shm_tax", shm_tax);
+      .Add("f1i_tcp_tax", tcp_tax);
   json.Print();
 
   if (!identical) {

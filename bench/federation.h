@@ -3,7 +3,7 @@
 // narrow interface fans out to, and the deterministic adversarial input mix
 // replayed against it. Both benches must measure the same workload so their
 // numbers compose — per-message vs batched (F1e) and in-process vs real
-// socket vs shared memory (F1i) are two cuts through one cost model.
+// socket (F1i) are two cuts through one cost model.
 
 #ifndef BENCH_FEDERATION_H_
 #define BENCH_FEDERATION_H_

@@ -25,12 +25,11 @@
 //     finds the slot already gone: a hit never resurrects a freed node.
 //
 // Who interns concurrently: the explorer's thread, and the reactor thread of
-// an ExplorationServer hosted in the same process (and its request workers
-// and shm ring threads, while those exist), which decodes and screens batches
-// for its domains while the explorer runs and can intern and drop the very
-// sets the explorer holds. The shards keep those threads from serializing on
-// one lock; every other intern table in the tree (sym::Expr) is
-// single-threaded. The table is heap-allocated and never destroyed, so
+// an ExplorationServer hosted in the same process, which decodes and screens
+// batches for its domains while the explorer runs and can intern and drop
+// the very sets the explorer holds. The shards keep those threads from
+// serializing on one lock; every other intern table in the tree (sym::Expr)
+// is single-threaded. The table is heap-allocated and never destroyed, so
 // statically stored handles can outlive it safely.
 
 #ifndef SRC_BGP_ATTR_INTERN_H_

@@ -44,8 +44,7 @@
 // Single-thread contract: a Solver, its QueryCache, and the Expr intern table
 // they build on (src/sym/expr.h) are used from one thread — the thread that
 // drives exploration. Nothing in them takes a lock. Code that runs on other
-// threads (the transport server's reactor and request workers) does not
-// include src/sym.
+// threads (the transport server's reactor thread) does not include src/sym.
 
 #ifndef SRC_SYM_SOLVER_H_
 #define SRC_SYM_SOLVER_H_

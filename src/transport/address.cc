@@ -1,5 +1,7 @@
 #include "src/transport/address.h"
 
+#include <algorithm>
+
 #include "src/util/strings.h"
 
 namespace dice::transport {
@@ -33,23 +35,8 @@ StatusOr<Address> Address::Parse(const std::string& text) {
     }
     return address;
   }
-  if (text.rfind("shm:", 0) == 0) {
-    address.kind = Kind::kShm;
-    address.path = text.substr(4);
-    if (address.path.size() < 2 || address.path[0] != '/') {
-      return InvalidArgumentError("address '" + text + "': want shm:/name");
-    }
-    if (address.path.find('/', 1) != std::string::npos) {
-      return InvalidArgumentError("address '" + text +
-                                  "': shm name must contain no '/' after the first");
-    }
-    if (address.path.size() >= 250) {
-      return InvalidArgumentError("address '" + text + "': shm name too long");
-    }
-    return address;
-  }
   return InvalidArgumentError("address '" + text +
-                              "': unknown scheme (want tcp:, unix:, or shm:)");
+                              "': unknown scheme (want tcp: or unix:)");
 }
 
 std::string Address::ToString() const {
@@ -58,15 +45,15 @@ std::string Address::ToString() const {
       return StrFormat("tcp:%s:%u", host.c_str(), static_cast<unsigned>(port));
     case Kind::kUnix:
       return "unix:" + path;
-    case Kind::kShm:
-      return "shm:" + path;
   }
   return "<bad address>";
 }
 
 bool LooksLikeAddress(const std::string& entry) {
-  return entry.rfind("tcp:", 0) == 0 || entry.rfind("unix:", 0) == 0 ||
-         entry.rfind("shm:", 0) == 0;
+  const size_t colon = entry.find(':');
+  return colon != std::string::npos && colon > 0 &&
+         std::all_of(entry.begin(), entry.begin() + static_cast<ptrdiff_t>(colon),
+                     [](char c) { return c >= 'a' && c <= 'z'; });
 }
 
 }  // namespace dice::transport

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/transport/shm_ring.h"
 #include "src/transport/stream.h"
 #include "src/util/bytes.h"
 #include "src/util/strings.h"
@@ -21,8 +20,6 @@ void SleepMs(int ms) {
   (void)nanosleep(&ts, nullptr);
 }
 
-constexpr int kShmSendTimeoutMs = 10000;
-
 class SocketClientTransport : public ClientTransport {
  public:
   explicit SocketClientTransport(FrameStream stream) : stream_(std::move(stream)) {}
@@ -37,32 +34,10 @@ class SocketClientTransport : public ClientTransport {
   FrameStream stream_;
 };
 
-class ShmClientTransport : public ClientTransport {
- public:
-  explicit ShmClientTransport(std::unique_ptr<ShmRingTransport> ring)
-      : ring_(std::move(ring)) {}
-
-  Status SendFrame(const Bytes& frame) override {
-    return ring_->SendFrame(frame, kShmSendTimeoutMs);
-  }
-  StatusOr<Bytes> RecvFrame(int timeout_ms) override {
-    return ring_->RecvFrame(timeout_ms);
-  }
-  void Close() override { ring_.reset(); }
-
- private:
-  std::unique_ptr<ShmRingTransport> ring_;
-};
-
 }  // namespace
 
 StatusOr<std::unique_ptr<ClientTransport>> DialTransport(const Address& address,
                                                          int timeout_ms) {
-  if (address.kind == Address::Kind::kShm) {
-    DICE_ASSIGN_OR_RETURN(auto ring, ShmRingTransport::Open(address, timeout_ms));
-    return std::unique_ptr<ClientTransport>(
-        std::make_unique<ShmClientTransport>(std::move(ring)));
-  }
   DICE_ASSIGN_OR_RETURN(FrameStream stream, FrameStream::Dial(address, timeout_ms));
   return std::unique_ptr<ClientTransport>(
       std::make_unique<SocketClientTransport>(std::move(stream)));
@@ -91,33 +66,43 @@ Status RpcChannel::Connect() {
 Status RpcChannel::ConnectInternal() {
   DICE_ASSIGN_OR_RETURN(transport_,
                         options_.dialer(address_, options_.connect_timeout_ms));
-  RpcRequest hello_request;
-  hello_request.correlation_id = next_correlation_++;
-  hello_request.op = RpcOp::kHello;
-  Status sent = transport_->SendFrame(hello_request.Serialize());
-  if (!sent.ok()) {
+  Status handshake = Handshake();
+  if (!handshake.ok()) {
+    // A refused or garbled Hello leaves no usable connection: the next
+    // Connect must dial again, not call on an unhandshaken stream.
     Invalidate();
-    return sent;
+    return handshake;
   }
-  StatusOr<Bytes> raw = transport_->RecvFrame(options_.connect_timeout_ms);
-  if (!raw.ok()) {
-    Invalidate();
-    return raw.status();
-  }
-  StatusOr<RpcReply> reply = RpcReply::Parse(raw.value());
-  if (!reply.ok()) {
-    Invalidate();
-    return reply.status();
-  }
-  DICE_RETURN_IF_ERROR(reply.value().ToStatus());
-  StatusOr<HelloReply> hello = HelloReply::Parse(reply.value().payload);
-  if (!hello.ok()) {
-    Invalidate();
-    return hello.status();
-  }
-  hello_ = std::move(hello).value();
   ++generation_;
   return Status::Ok();
+}
+
+Status RpcChannel::Handshake() {
+  RpcRequest request;
+  request.correlation_id = next_correlation_++;
+  request.op = RpcOp::kHello;
+  DICE_ASSIGN_OR_RETURN(RpcReply reply, Exchange(request, options_.connect_timeout_ms));
+  DICE_RETURN_IF_ERROR(reply.ToStatus());
+  DICE_ASSIGN_OR_RETURN(hello_, HelloReply::Parse(reply.payload));
+  return Status::Ok();
+}
+
+StatusOr<RpcReply> RpcChannel::Exchange(const RpcRequest& request, int timeout_ms) {
+  DICE_RETURN_IF_ERROR(transport_->SendFrame(request.Serialize()));
+  DICE_ASSIGN_OR_RETURN(Bytes raw, transport_->RecvFrame(timeout_ms));
+  DICE_ASSIGN_OR_RETURN(RpcReply reply, RpcReply::Parse(raw));
+  if (reply.correlation_id != request.correlation_id || reply.op != request.op) {
+    // The server answers a connection in request order, so this reply belongs
+    // to no call in flight: the stream position is as untrustworthy as after
+    // a failed checksum.
+    return InvalidArgumentError(StrFormat(
+        "reply (correlation id %llu, op %u) does not answer call %llu (op %u)",
+        static_cast<unsigned long long>(reply.correlation_id),
+        static_cast<unsigned>(reply.op),
+        static_cast<unsigned long long>(request.correlation_id),
+        static_cast<unsigned>(request.op)));
+  }
+  return reply;
 }
 
 Status RpcChannel::Reconnect() {
@@ -148,65 +133,20 @@ void RpcChannel::Close() {
   Invalidate();
 }
 
-void RpcChannel::Invalidate() {
-  transport_.reset();
-  // Replies parked for the dead connection describe calls whose requests may
-  // never have arrived; correlating them across a reconnect would be a lie.
-  parked_.clear();
-}
+void RpcChannel::Invalidate() { transport_.reset(); }
 
-StatusOr<uint64_t> RpcChannel::StartCall(uint32_t domain_id, RpcOp op, Bytes payload) {
+StatusOr<RpcReply> RpcChannel::Call(uint32_t domain_id, RpcOp op, Bytes payload) {
   DICE_RETURN_IF_ERROR(Connect());
   RpcRequest request;
   request.correlation_id = next_correlation_++;
   request.domain_id = domain_id;
   request.op = op;
   request.payload = std::move(payload);
-  Status sent = transport_->SendFrame(request.Serialize());
-  if (!sent.ok()) {
+  StatusOr<RpcReply> reply = Exchange(request, options_.call_timeout_ms);
+  if (!reply.ok()) {
     Invalidate();
-    return sent;
   }
-  ++calls_started_;
-  return request.correlation_id;
-}
-
-StatusOr<RpcReply> RpcChannel::Await(uint64_t correlation_id) {
-  auto parked = parked_.find(correlation_id);
-  if (parked != parked_.end()) {
-    RpcReply reply = std::move(parked->second);
-    parked_.erase(parked);
-    return reply;
-  }
-  if (!connected()) {
-    return FailedPreconditionError("await on a disconnected channel");
-  }
-  while (true) {
-    StatusOr<Bytes> raw = transport_->RecvFrame(options_.call_timeout_ms);
-    if (!raw.ok()) {
-      Invalidate();
-      return raw.status();
-    }
-    StatusOr<RpcReply> reply = RpcReply::Parse(raw.value());
-    if (!reply.ok()) {
-      // A reply that fails its checksum poisons the whole stream position:
-      // drop the connection rather than resynchronize on guesses.
-      Invalidate();
-      return reply.status();
-    }
-    ++replies_received_;
-    if (reply.value().correlation_id == correlation_id) {
-      return std::move(reply).value();
-    }
-    ++out_of_order_replies_;
-    parked_[reply.value().correlation_id] = std::move(reply).value();
-  }
-}
-
-StatusOr<RpcReply> RpcChannel::Call(uint32_t domain_id, RpcOp op, Bytes payload) {
-  DICE_ASSIGN_OR_RETURN(uint64_t correlation_id,
-                        StartCall(domain_id, op, std::move(payload)));
-  return Await(correlation_id);
+  return reply;
 }
 
 SocketExplorationService::SocketExplorationService(std::shared_ptr<RpcChannel> channel,

@@ -1,17 +1,20 @@
-// Client side of the real transport: a dialed connection (socket or shm
-// ring), an RPC channel multiplexing many in-flight calls over it, and
-// SocketExplorationService — the ExplorationService stub DistributedExplorer
-// plugs in without knowing bytes are crossing a process boundary.
+// Client side of the real transport: a dialed socket connection, an RPC
+// channel with one call in flight over it, and SocketExplorationService —
+// the ExplorationService stub DistributedExplorer plugs in without knowing
+// bytes are crossing a process boundary.
 //
 // Layers:
 //  * ClientTransport — one connected byte pipe (frames in, frames out). The
-//    fault-injection harness substitutes its own implementation to tear
-//    writes and flip bits under the channel;
-//  * RpcChannel — correlation ids, the Hello exchange, a pending-reply map
-//    (replies may arrive out of call order: StartCall/Await pipeline many
-//    calls, and a reply for call B parks until Await(B) asks for it), and
-//    reconnect with exponential backoff. Every successful (re)connect bumps
-//    `generation`, which is how stubs learn the world may have changed;
+//    fault-injection harness and the scripted tests substitute their own
+//    implementations to tear writes, flip bits, or answer by script under
+//    the channel;
+//  * RpcChannel — correlation ids, the Hello exchange, and reconnect with
+//    exponential backoff. Call writes one request and reads one reply: the
+//    server answers each connection in request order, so a reply that
+//    carries another call's correlation id or op is a protocol error that
+//    fails the call and drops the connection, like a failed checksum. Every
+//    successful (re)connect bumps `generation`, which is how stubs learn the
+//    world may have changed;
 //  * SocketExplorationService — the stub. It keeps two epoch spaces: the
 //    *public* epoch it hands its caller (monotonic, survives server
 //    restarts) and the *server* epoch the wire wants. After a reconnect it
@@ -28,7 +31,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,8 +42,8 @@
 
 namespace dice::transport {
 
-// One connected byte pipe. Implementations: sockets (FrameStream), shm rings
-// (ShmRingTransport), and the test harness's deliberately faulty wrappers.
+// One connected byte pipe. Implementations: sockets (FrameStream) and the
+// test harnesses' faulty or scripted stand-ins.
 class ClientTransport {
  public:
   virtual ~ClientTransport() = default;
@@ -50,7 +52,7 @@ class ClientTransport {
   virtual void Close() = 0;
 };
 
-// Dials `address` (tcp:/unix: stream or shm: ring) within `timeout_ms`.
+// Dials a tcp: or unix: `address` within `timeout_ms`.
 [[nodiscard]] StatusOr<std::unique_ptr<ClientTransport>> DialTransport(
     const Address& address, int timeout_ms);
 
@@ -76,7 +78,9 @@ class RpcChannel {
   RpcChannel(const RpcChannel&) = delete;
   RpcChannel& operator=(const RpcChannel&) = delete;
 
-  // Dials and performs the Hello exchange. No-op when already connected.
+  // Dials and performs the Hello exchange. No-op when already connected. A
+  // failed exchange leaves the channel disconnected, so the next Connect
+  // dials again.
   [[nodiscard]] Status Connect();
 
   // Drops the connection and re-Connects with exponential backoff. On
@@ -93,24 +97,19 @@ class RpcChannel {
   // The server's announcement from the most recent Hello exchange.
   const HelloReply& hello() const { return hello_; }
 
-  // Pipelined API: StartCall writes the request and returns its correlation
-  // id; Await blocks for that specific reply, parking any other replies that
-  // arrive first. Call = StartCall + Await.
-  [[nodiscard]] StatusOr<uint64_t> StartCall(uint32_t domain_id, RpcOp op,
-                                             Bytes payload);
-  [[nodiscard]] StatusOr<RpcReply> Await(uint64_t correlation_id);
+  // Connects if needed, sends one request, and returns its reply. Any
+  // transport or protocol error fails the call and drops the connection.
   [[nodiscard]] StatusOr<RpcReply> Call(uint32_t domain_id, RpcOp op, Bytes payload);
 
   const Address& address() const { return address_; }
 
-  uint64_t calls_started() const { return calls_started_; }
-  uint64_t replies_received() const { return replies_received_; }
   uint64_t reconnects() const { return reconnects_; }
-  uint64_t out_of_order_replies() const { return out_of_order_replies_; }
 
  private:
   [[nodiscard]] Status ConnectInternal();
-  // A transport error invalidates the connection and every pending call.
+  [[nodiscard]] Status Handshake();
+  // Sends `request` and reads the one reply that must answer it.
+  [[nodiscard]] StatusOr<RpcReply> Exchange(const RpcRequest& request, int timeout_ms);
   void Invalidate();
 
   Address address_;
@@ -119,12 +118,7 @@ class RpcChannel {
   HelloReply hello_;
   uint64_t generation_ = 0;
   uint64_t next_correlation_ = 1;
-  std::map<uint64_t, RpcReply> parked_;
-
-  uint64_t calls_started_ = 0;
-  uint64_t replies_received_ = 0;
   uint64_t reconnects_ = 0;
-  uint64_t out_of_order_replies_ = 0;
 };
 
 // The remote-domain stub. One per domain; stubs for domains on the same

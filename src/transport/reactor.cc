@@ -78,7 +78,7 @@ StatusOr<Reactor::ConnId> Reactor::Listen(const Address& address) {
       ::close(fd);
       return status;
     }
-  } else if (address.kind == Address::Kind::kUnix) {
+  } else {
     fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd < 0) {
       return ErrnoStatus("socket", errno);
@@ -95,9 +95,6 @@ StatusOr<Reactor::ConnId> Reactor::Listen(const Address& address) {
       return status;
     }
     unlink_path = address.path;
-  } else {
-    return InvalidArgumentError("reactor cannot listen on " + address.ToString() +
-                                " (shm endpoints are rings, not sockets)");
   }
   if (::listen(fd, 64) != 0) {
     Status status = ErrnoStatus("listen", errno);

@@ -15,9 +15,9 @@
 //  * peer disconnects, oversize frames, and socket errors all end in
 //    on_close with a Status saying why (Ok = clean EOF), never a crash.
 //
-// Wakeup() is the only thread-safe entry point: worker threads finishing a
-// request call it (via a self-pipe) to break the poll so the reactor thread
-// can flush their completions.
+// Wakeup() is the only thread-safe entry point: ExplorationServer::Stop
+// calls it from its own thread (via a self-pipe) to break the reactor
+// thread's poll, so the stop is prompt.
 
 #ifndef SRC_TRANSPORT_REACTOR_H_
 #define SRC_TRANSPORT_REACTOR_H_

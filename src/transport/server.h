@@ -1,15 +1,13 @@
 // ExplorationServer — hosts one or more ExplorationService domains behind
-// real transports (TCP / Unix-domain sockets via the Reactor, same-host
-// shared-memory rings), speaking the framed RPC envelope of wire.h.
+// TCP and Unix-domain socket endpoints, speaking the framed RPC envelope of
+// wire.h.
 //
-// Multiplexing: every request names its domain (domain_id) and call
-// (correlation_id), so many domains share one connection and replies may
-// return out of request order. With Options::workers > 0, requests dispatch
-// to a worker pool — calls to *different* domains run concurrently (a slow
-// domain never stalls the connection), while a per-domain mutex keeps each
-// domain's checkpoint/batch sequence serialized exactly as the in-process
-// path would see it. With workers == 0 everything runs inline on the
-// transport thread: slower under contention, bit-identical either way.
+// One reactor thread serves every endpoint. It parses each request, runs it
+// inline, and queues the reply before it reads the connection's next frame,
+// so every connection is answered in request order and the client checks
+// each reply's correlation id against its one call in flight. Every request
+// names its domain (domain_id), so many domains share one connection; a slow
+// domain delays the replies queued behind it.
 //
 // The epoch a warm-restarted server advertises in its Hello comes from
 // AddDomain's initial_epoch (the host restores the domain from its snapshot
@@ -21,8 +19,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -32,22 +28,21 @@
 #include "src/dice/exploration_service.h"
 #include "src/transport/address.h"
 #include "src/transport/reactor.h"
-#include "src/transport/shm_ring.h"
 #include "src/transport/wire.h"
 #include "src/util/status.h"
-#include "src/util/worker_pool.h"
 
 namespace dice::transport {
 
 class ExplorationServer {
  public:
   struct Options {
-    // 0 = handle every request inline on the transport thread; N > 0 = an
-    // N-thread pool with per-domain serialization and out-of-order replies.
+    // Must be 0: requests run inline on the reactor thread, and Start()
+    // refuses any other value. The field stays only while perfbench still
+    // sets it; it goes with the benchmark's next revision.
     size_t workers = 0;
   };
 
-  // Per-domain service counters; latencies are transport-thread microseconds
+  // Per-domain service counters; latencies are reactor-thread microseconds
   // (wall time — this is operational telemetry, not simulation state).
   struct DomainStats {
     uint64_t requests = 0;
@@ -68,81 +63,53 @@ class ExplorationServer {
   ExplorationServer& operator=(const ExplorationServer&) = delete;
 
   // Registers a domain before Start; returns its wire id (1-based, in
-  // registration order on every transport). `initial_epoch` is what Hello
+  // registration order on every endpoint). `initial_epoch` is what Hello
   // advertises until the first TakeCheckpoint lands — nonzero when the host
   // warm-restarted the domain from a snapshot.
   uint32_t AddDomain(std::unique_ptr<ExplorationService> domain,
                      uint64_t initial_epoch = 0);
 
-  // Opens a listening endpoint before Start. tcp:/unix: endpoints share the
-  // reactor; each shm: endpoint gets a dedicated ring and serving thread.
+  // Opens a tcp: or unix: listening endpoint before Start.
   [[nodiscard]] Status AddEndpoint(const Address& address);
 
   // The resolved address of endpoint `index` (in AddEndpoint order) — the
   // kernel-assigned port of a tcp:...:0 listener becomes visible here.
   [[nodiscard]] StatusOr<Address> BoundAddress(size_t index) const;
 
-  // Starts the transport thread(s). Endpoints and domains are frozen after.
+  // Starts the reactor thread. Endpoints and domains are frozen after.
   [[nodiscard]] Status Start();
 
-  // Stops every thread and closes every endpoint. Idempotent.
+  // Stops the reactor thread and closes every endpoint. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
+  // Safe to call from any thread while the server runs.
   DomainStats domain_stats(uint32_t domain_id) const;
   std::vector<std::string> domain_names() const;
 
-  // Transport-level totals (socket side; see ShmRingTransport for ring I/O).
   uint64_t connections_accepted() const;
 
  private:
   struct Domain {
     std::unique_ptr<ExplorationService> service;
     uint64_t last_epoch = 0;
-    mutable std::mutex mu;  // serializes service calls and stats
+    mutable std::mutex mu;  // guards stats for domain_stats() on other threads
     DomainStats stats;
   };
 
-  struct ShmEndpoint {
-    std::unique_ptr<ShmRingTransport> ring;
-    std::thread thread;
-  };
-
-  // A finished reply waiting for its transport thread to send it.
-  struct Completion {
-    bool via_ring = false;
-    Reactor::ConnId conn = 0;    // socket replies
-    size_t ring_index = 0;       // ring replies
-    Bytes frame;
-  };
-
   void ReactorMain();
-  void RingMain(size_t ring_index);
-  // Decodes and executes one envelope; delivery==inline when workers==0.
-  void HandleFrame(bool via_ring, Reactor::ConnId conn, size_t ring_index,
-                   Bytes frame);
-  // The actual service call — runs on a worker or inline.
+  // Parses one envelope, runs it, and queues its reply on `conn`.
+  void HandleFrame(Reactor::ConnId conn, const Bytes& frame);
   RpcReply Execute(const RpcRequest& request);
   Bytes BuildHello();
-  void Deliver(bool via_ring, Reactor::ConnId conn, size_t ring_index, Bytes frame);
-  void DrainCompletions(bool via_ring, size_t ring_index);
 
   Options options_;
   std::vector<std::unique_ptr<Domain>> domains_;  // index = domain_id - 1
-  std::vector<Address> endpoint_addresses_;
-  std::vector<Address> bound_addresses_;
+  std::vector<Address> bound_addresses_;          // one per endpoint
 
   Reactor reactor_;
-  std::vector<Reactor::ConnId> listeners_;
   std::thread reactor_thread_;
-  bool have_socket_endpoints_ = false;
-
-  std::vector<std::unique_ptr<ShmEndpoint>> shm_endpoints_;
-
-  std::unique_ptr<util::WorkerPool> pool_;
-  std::mutex completions_mu_;
-  std::deque<Completion> completions_;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};

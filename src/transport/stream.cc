@@ -58,14 +58,12 @@ StatusOr<int> ConnectFd(const Address& address, int timeout_ms) {
     }
     len = sizeof(struct sockaddr_in);
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  } else if (address.kind == Address::Kind::kUnix) {
+  } else {
     auto* sun = reinterpret_cast<struct sockaddr_un*>(&storage);
     sun->sun_family = AF_UNIX;
     std::snprintf(sun->sun_path, sizeof(sun->sun_path), "%s", address.path.c_str());
     len = sizeof(struct sockaddr_un);
     fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  } else {
-    return InvalidArgumentError("cannot dial a stream to " + address.ToString());
   }
   if (fd < 0) {
     return ErrnoStatus("socket", errno);

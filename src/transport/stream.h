@@ -42,7 +42,7 @@ class FrameStream {
   FrameStream(const FrameStream&) = delete;
   FrameStream& operator=(const FrameStream&) = delete;
 
-  // Connects to a tcp: or unix: address (shm: endpoints are not streams).
+  // Connects to a tcp: or unix: address.
   [[nodiscard]] static StatusOr<FrameStream> Dial(const Address& address,
                                                   int timeout_ms);
 

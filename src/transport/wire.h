@@ -3,11 +3,12 @@
 // stream's length prefix.
 //
 // The envelope multiplexes many exploration domains over one connection
-// (domain_id) and many in-flight calls over one stream (correlation_id — the
-// server may answer out of order; the client correlates, so one slow domain
-// never stalls the connection). The payload is opaque to the envelope: for
-// kExecuteBatch it is itself a framed ExploratoryBatchRequest/-Reply, giving
-// a second independent checksum layer under the envelope's.
+// (domain_id) and numbers every call (correlation_id): the server answers
+// each connection in request order, and the client checks that the one reply
+// it reads carries its call's id and op. The payload is opaque to the
+// envelope: for kExecuteBatch it is itself a framed
+// ExploratoryBatchRequest/-Reply, giving a second independent checksum layer
+// under the envelope's.
 //
 // Errors travel as data: a reply carries the backend's StatusCode + message,
 // re-materialized client-side as the same Status the in-process service

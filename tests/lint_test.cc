@@ -73,14 +73,17 @@ TEST(LintTokens, WallClockPersistAllowlistIsEnvOnly) {
 
 TEST(LintTokens, WallClockTransportAllowlistIsByFileNotDirectory) {
   // The transport layer touches real time by nature (socket deadlines,
-  // reconnect backoff, futex waits, latency counters), but only the four
-  // reviewed .cc files — new transport files must either stay clock-free or
-  // be added to the allowlist in review. Headers stay clock-free entirely.
+  // reconnect backoff, latency counters), but only the three reviewed .cc
+  // files — new transport files must either stay clock-free or be added to
+  // the allowlist in review, and a deleted file leaves it: a file re-added
+  // under the old shared-memory ring's name is reviewed again. Headers stay
+  // clock-free entirely.
   const std::string source = "#include <time.h>\nvoid f() { clock_gettime(0, nullptr); }\n";
   EXPECT_TRUE(Lint("src/transport/stream.cc", source).clean());
-  EXPECT_TRUE(Lint("src/transport/shm_ring.cc", source).clean());
   EXPECT_TRUE(Lint("src/transport/server.cc", source).clean());
   EXPECT_TRUE(Lint("src/transport/client.cc", source).clean());
+  EXPECT_EQ(Sites(Lint("src/transport/shm_ring.cc", source)),
+            (std::vector<std::string>{"src/transport/shm_ring.cc:2:wall-clock"}));
   EXPECT_EQ(Sites(Lint("src/transport/stream.h", source)),
             (std::vector<std::string>{"src/transport/stream.h:2:wall-clock"}));
   EXPECT_EQ(Sites(Lint("src/transport/wire.cc", source)),
@@ -281,7 +284,7 @@ TEST(LintRepo, TransportFilesIntroduceNoFindings) {
   // The transport subsystem crosses the process boundary, which makes it the
   // easiest place to smuggle in nondeterminism (ad-hoc clocks, unordered
   // correlation maps). Pin the directory to zero findings: its sanctioned
-  // clock use lives only in the four .cc files named in the allowlist, and
+  // clock use lives only in the three .cc files named in the allowlist, and
   // everything else must come up clean without suppressions.
   LintOptions options;
   options.root = DICE_REPO_ROOT;

@@ -1,8 +1,9 @@
 // The RPC layer end to end: envelope codec robustness, server/client round
-// trips over TCP and Unix-domain sockets, multi-domain multiplexing with
-// pipelined out-of-order replies, reconnect-with-epoch-revalidation after a
-// server restart, bit-identity against the in-process service path, and a
-// whole federation — explorer plus served domains — in one process.
+// trips over TCP and Unix-domain sockets, multi-domain multiplexing answered
+// in request order, the client's one-reply-per-call checks,
+// reconnect-with-epoch-revalidation after a server restart, bit-identity
+// against the in-process service path, and a whole federation — explorer
+// plus served domains — in one process.
 
 #include <gtest/gtest.h>
 
@@ -111,11 +112,9 @@ TEST(RpcWireTest, UnknownOpIsRejected) {
 // --- Server + client over sockets --------------------------------------------
 
 struct ServerHarness {
-  explicit ServerHarness(const Address& endpoint, size_t workers = 0,
-                         uint64_t initial_epoch = 0, uint64_t start_epoch = 0) {
-    ExplorationServer::Options options;
-    options.workers = workers;
-    server = std::make_unique<ExplorationServer>(options);
+  explicit ServerHarness(const Address& endpoint, uint64_t initial_epoch = 0,
+                         uint64_t start_epoch = 0) {
+    server = std::make_unique<ExplorationServer>();
     auto owned_a = std::make_unique<FakeService>("upstream", start_epoch);
     auto owned_b = std::make_unique<FakeService>("peerlat", start_epoch);
     domain_a = owned_a.get();
@@ -233,54 +232,58 @@ TEST(RpcTransportTest, CorruptEnvelopeKillsConnectionButNotServer) {
   EXPECT_EQ((*stubs)[0]->TakeCheckpoint(5), 1u);
 }
 
-TEST(RpcTransportTest, StalledDomainDoesNotBlockOthers) {
-  // workers=2 so the blocked domain occupies one worker while the other
-  // domain's request flows through the second.
-  ServerHarness harness(LoopbackAddress(), /*workers=*/2);
-  auto channel = std::make_shared<RpcChannel>(harness.bound, FastOptions());
-  ASSERT_TRUE(channel->Connect().ok());
-  SocketExplorationService slow(channel, 1, "upstream");
-  SocketExplorationService fast(channel, 2, "peerlat");
-  ASSERT_EQ(slow.TakeCheckpoint(1), 1u);
-  ASSERT_EQ(fast.TakeCheckpoint(1), 1u);
-
-  // Park the next batch on domain A inside the server — its worker blocks on
-  // the fake's gate, holding the per-domain mutex.
-  harness.domain_a->ArmBlock();
-  ExploratoryBatchRequest slow_batch = TestBatch(1, {"203.0.113.0/24"});
-  StatusOr<uint64_t> slow_call =
-      channel->StartCall(1, RpcOp::kExecuteBatch, slow_batch.Serialize());
-  ASSERT_TRUE(slow_call.ok()) << slow_call.status();
-  harness.domain_a->WaitUntilBlocked();
-
-  // With domain A wedged, a full round trip to domain B still completes —
-  // this is the "one slow domain never stalls the connection" property.
-  StatusOr<ExploratoryBatchReply> fast_reply =
-      fast.ExecuteBatch(TestBatch(1, {"198.51.100.0/24"}));
-  ASSERT_TRUE(fast_reply.ok()) << fast_reply.status();
-
-  // Now release A and collect its (later) reply by correlation id.
-  harness.domain_a->Release();
-  StatusOr<RpcReply> slow_reply = channel->Await(*slow_call);
-  ASSERT_TRUE(slow_reply.ok()) << slow_reply.status();
-  EXPECT_EQ(slow_reply->status_code, StatusCode::kOk);
-  StatusOr<ExploratoryBatchReply> parsed =
-      ExploratoryBatchReply::Parse(slow_reply->payload);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->replies.size(), 1u);
-  // 2 checkpoints + the fast batch + the awaited slow batch; the Hello
-  // exchange is not a "call" reply.
-  EXPECT_EQ(channel->replies_received(), 4u);
+TEST(RpcTransportTest, EachConnectionIsAnsweredInRequestOrder) {
+  // The client reads one reply per call and rejects any other, so the server
+  // must answer a connection in the order its requests arrived — even with
+  // 32 requests across two domains queued before the first reply is read.
+  ServerHarness harness(LoopbackAddress());
+  StatusOr<FrameStream> raw = FrameStream::Dial(harness.bound, 2000);
+  ASSERT_TRUE(raw.ok()) << raw.status();
+  constexpr uint64_t kRequests = 32;
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    RpcRequest request;
+    request.correlation_id = 1000 + i;
+    request.domain_id = static_cast<uint32_t>(1 + i % 2);
+    request.op = RpcOp::kTakeCheckpoint;
+    ByteWriter now;
+    now.PutU64(i);
+    request.payload = now.Take();
+    ASSERT_TRUE(raw->SendFrame(request.Serialize()).ok());
+  }
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    StatusOr<Bytes> frame = raw->RecvFrame(10000);
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    StatusOr<RpcReply> reply = RpcReply::Parse(*frame);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(reply->correlation_id, 1000 + i) << "reply " << i << " out of order";
+    EXPECT_EQ(reply->domain_id, 1 + i % 2);
+    ASSERT_EQ(reply->status_code, StatusCode::kOk) << reply->error;
+    // Each domain counts its own checkpoints: the i-th request was the
+    // (i/2 + 1)-th for its domain.
+    ByteReader epoch(reply->payload);
+    EXPECT_EQ(*epoch.ReadU64(), i / 2 + 1);
+  }
 }
 
-// A scripted ClientTransport that answers Hello/TakeCheckpoint inline but
-// holds ExecuteBatch replies until `hold` of them have accumulated, then
-// releases them in REVERSE send order — a deterministic out-of-order server.
-// Each batch reply tags would_propagate with its correlation id so the test
-// can prove every Await got its own answer.
-class ReorderingTransport : public ClientTransport {
+TEST(RpcTransportTest, StartRefusesRequestWorkers) {
+  ExplorationServer::Options options;
+  options.workers = 1;
+  ExplorationServer server(options);
+  server.AddDomain(std::make_unique<FakeService>("upstream"));
+  ASSERT_TRUE(server.AddEndpoint(LoopbackAddress()).ok());
+  Status started = server.Start();
+  EXPECT_EQ(started.code(), StatusCode::kInvalidArgument) << started;
+  EXPECT_FALSE(server.running());
+}
+
+// A scripted ClientTransport that answers every request inline, the way a
+// one-domain server would, after `tamper` has edited the reply. Hello
+// announces domain 1 "upstream"; other ops get an empty payload.
+class ScriptedTransport : public ClientTransport {
  public:
-  explicit ReorderingTransport(size_t hold) : hold_(hold) {}
+  using Tamper = std::function<void(const RpcRequest&, RpcReply&)>;
+
+  explicit ScriptedTransport(Tamper tamper) : tamper_(std::move(tamper)) {}
 
   Status SendFrame(const Bytes& frame) override {
     StatusOr<RpcRequest> request = RpcRequest::Parse(frame);
@@ -291,45 +294,13 @@ class ReorderingTransport : public ClientTransport {
     reply.correlation_id = request->correlation_id;
     reply.domain_id = request->domain_id;
     reply.op = request->op;
-    switch (request->op) {
-      case RpcOp::kHello: {
-        HelloReply hello;
-        hello.domains.push_back(HelloDomain{1, "upstream", 0});
-        reply.payload = hello.Serialize();
-        inbox_.push_back(std::move(reply));
-        break;
-      }
-      case RpcOp::kTakeCheckpoint: {
-        ByteWriter writer;
-        writer.PutU64(++epoch_);
-        reply.payload = writer.Take();
-        inbox_.push_back(std::move(reply));
-        break;
-      }
-      case RpcOp::kExecuteBatch: {
-        StatusOr<ExploratoryBatchRequest> batch =
-            ExploratoryBatchRequest::Parse(request->payload);
-        if (!batch.ok()) {
-          return batch.status();
-        }
-        ExploratoryBatchReply out;
-        out.checkpoint_epoch = batch->checkpoint_epoch;
-        NarrowReply narrow;
-        narrow.prefix = batch->updates.front().nlri.front();
-        narrow.accepted = true;
-        narrow.would_propagate = request->correlation_id;
-        out.replies.push_back(narrow);
-        reply.payload = out.Serialize();
-        held_.push_back(std::move(reply));
-        if (held_.size() >= hold_) {
-          while (!held_.empty()) {
-            inbox_.push_back(std::move(held_.back()));
-            held_.pop_back();
-          }
-        }
-        break;
-      }
+    if (request->op == RpcOp::kHello) {
+      HelloReply hello;
+      hello.domains.push_back(HelloDomain{1, "upstream", 0});
+      reply.payload = hello.Serialize();
     }
+    tamper_(*request, reply);
+    inbox_.push_back(std::move(reply));
     return Status::Ok();
   }
 
@@ -345,43 +316,83 @@ class ReorderingTransport : public ClientTransport {
   void Close() override {}
 
  private:
-  size_t hold_;
-  uint64_t epoch_ = 0;
+  Tamper tamper_;
   std::deque<RpcReply> inbox_;
-  std::deque<RpcReply> held_;
 };
 
-TEST(RpcTransportTest, OutOfOrderRepliesCorrelateThroughParking) {
-  RpcChannel::Options options = FastOptions();
-  options.dialer = [](const Address&, int) {
+// A dialer handing out ScriptedTransports with `tamper`, counting dials.
+RpcChannel::Dialer ScriptedDialer(ScriptedTransport::Tamper tamper, int* dials) {
+  return [tamper = std::move(tamper), dials](const Address&, int) {
+    ++*dials;
     return StatusOr<std::unique_ptr<ClientTransport>>(
-        std::make_unique<ReorderingTransport>(/*hold=*/3));
+        std::make_unique<ScriptedTransport>(tamper));
   };
+}
+
+TEST(RpcTransportTest, FailedHelloLeavesTheChannelDisconnected) {
+  // Every way a Hello exchange can fail: the server refuses it, or the reply
+  // answers another call's correlation id or another op.
+  const std::vector<ScriptedTransport::Tamper> hello_faults = {
+      [](const RpcRequest& request, RpcReply& reply) {
+        reply = RpcReply::FromStatus(request, FailedPreconditionError("not serving yet"));
+      },
+      [](const RpcRequest&, RpcReply& reply) { reply.correlation_id += 7; },
+      [](const RpcRequest&, RpcReply& reply) { reply.op = RpcOp::kTakeCheckpoint; },
+  };
+  for (size_t fault = 0; fault < hello_faults.size(); ++fault) {
+    SCOPED_TRACE(fault);
+    int dials = 0;
+    RpcChannel::Options options = FastOptions();
+    options.dialer = ScriptedDialer(
+        [&](const RpcRequest& request, RpcReply& reply) {
+          if (request.op == RpcOp::kHello) {
+            hello_faults[fault](request, reply);
+          }
+        },
+        &dials);
+    RpcChannel channel(LoopbackAddress(), options);
+    EXPECT_FALSE(channel.Connect().ok());
+    EXPECT_FALSE(channel.connected());
+    EXPECT_EQ(channel.generation(), 0u);
+    // Not connected, so the next Connect dials again instead of calling on
+    // an unhandshaken stream.
+    EXPECT_FALSE(channel.Connect().ok());
+    EXPECT_EQ(dials, 2);
+    EXPECT_EQ(channel.generation(), 0u);
+  }
+}
+
+TEST(RpcTransportTest, ReplyToAnotherCallFailsTheCallAndDropsTheConnection) {
+  // The first batch on the first connection is answered with the Hello's
+  // correlation id — a reply to another call. The call fails cleanly, the
+  // connection is dropped, and the next call dials afresh.
+  int dials = 0;
+  bool misroute = true;
+  RpcChannel::Options options = FastOptions();
+  options.dialer = ScriptedDialer(
+      [&misroute](const RpcRequest& request, RpcReply& reply) {
+        if (request.op == RpcOp::kExecuteBatch && misroute) {
+          misroute = false;
+          reply.correlation_id = request.correlation_id - 1;
+        }
+      },
+      &dials);
   RpcChannel channel(LoopbackAddress(), options);
   ASSERT_TRUE(channel.Connect().ok());
 
-  // Three pipelined batch calls; the scripted server answers them 3, 2, 1.
-  std::vector<uint64_t> ids;
-  for (const char* prefix : {"10.1.0.0/24", "10.2.0.0/24", "10.3.0.0/24"}) {
-    StatusOr<uint64_t> id =
-        channel.StartCall(1, RpcOp::kExecuteBatch, TestBatch(1, {prefix}).Serialize());
-    ASSERT_TRUE(id.ok()) << id.status();
-    ids.push_back(*id);
-  }
-  // Await in send order: the first Await must park two foreign replies
-  // before its own arrives; the later Awaits are served from the park.
-  for (uint64_t id : ids) {
-    StatusOr<RpcReply> reply = channel.Await(id);
-    ASSERT_TRUE(reply.ok()) << reply.status();
-    EXPECT_EQ(reply->correlation_id, id);
-    StatusOr<ExploratoryBatchReply> parsed =
-        ExploratoryBatchReply::Parse(reply->payload);
-    ASSERT_TRUE(parsed.ok()) << parsed.status();
-    ASSERT_EQ(parsed->replies.size(), 1u);
-    EXPECT_EQ(parsed->replies[0].would_propagate, id)
-        << "a parked reply was correlated to the wrong call";
-  }
-  EXPECT_EQ(channel.out_of_order_replies(), 2u);
+  const Bytes batch = TestBatch(1, {"10.1.0.0/24"}).Serialize();
+  StatusOr<RpcReply> misrouted = channel.Call(1, RpcOp::kExecuteBatch, batch);
+  ASSERT_FALSE(misrouted.ok());
+  EXPECT_EQ(misrouted.status().code(), StatusCode::kInvalidArgument)
+      << misrouted.status();
+  EXPECT_FALSE(channel.connected());
+  EXPECT_EQ(dials, 1);
+
+  StatusOr<RpcReply> next = channel.Call(1, RpcOp::kExecuteBatch, batch);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->op, RpcOp::kExecuteBatch);
+  EXPECT_EQ(dials, 2);
+  EXPECT_EQ(channel.generation(), 2u);
 }
 
 TEST(RpcTransportTest, ReconnectAfterRestartRevalidatesEpochs) {
@@ -425,8 +436,7 @@ TEST(RpcTransportTest, WarmRestartWithMatchingEpochSkipsReplay) {
   harness.reset();
   // Warm restart: the replacement restored its snapshot — services already
   // at epoch 1, Hello advertises initial_epoch 1.
-  ServerHarness replacement(endpoint, /*workers=*/0, /*initial_epoch=*/1,
-                            /*start_epoch=*/1);
+  ServerHarness replacement(endpoint, /*initial_epoch=*/1, /*start_epoch=*/1);
 
   StatusOr<ExploratoryBatchReply> reply =
       stub->ExecuteBatch(TestBatch(1, {"192.0.2.0/24"}));
@@ -593,12 +603,11 @@ TEST(FederationInOneProcessTest, ServedDomainsMatchWireDomains) {
   ASSERT_FALSE(reference.system_wide.empty());
 
   // The same domains served from this process: the explorer runs sym on this
-  // thread while the server's reactor and two request workers run the
-  // domains, so under TSan this also checks that no server thread reaches the
-  // lock-free sym tables.
-  ExplorationServer::Options server_options;
-  server_options.workers = 2;
-  ExplorationServer server(server_options);
+  // thread while the server's reactor thread runs every request inline. Both
+  // threads still intern attribute sets at the same time, so under TSan this
+  // checks the intern table's shards, and that the reactor thread never
+  // reaches the lock-free sym tables.
+  ExplorationServer server;
   server.AddDomain(MakeRealService("upstream"));
   server.AddDomain(MakeRealService("peerlat"));
   ASSERT_TRUE(server.AddEndpoint(UniqueUnixAddress("federation")).ok());

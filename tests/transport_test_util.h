@@ -1,14 +1,12 @@
 // Shared helpers for the transport test suites: a scriptable fake
-// ExplorationService (controllable epochs, recordable checkpoint times, an
-// optional condvar gate for deterministic out-of-order tests) and small
-// builders for batches and addresses.
+// ExplorationService (controllable epochs, recordable checkpoint times) and
+// small builders for batches and addresses.
 
 #ifndef TESTS_TRANSPORT_TEST_UTIL_H_
 #define TESTS_TRANSPORT_TEST_UTIL_H_
 
 #include <unistd.h>
 
-#include <condition_variable>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -38,7 +36,6 @@ class FakeService : public ExplorationService {
 
   StatusOr<ExploratoryBatchReply> ExecuteBatch(
       const ExploratoryBatchRequest& request) override {
-    MaybeBlock();
     std::lock_guard<std::mutex> lock(mu_);
     if (epoch_ == 0) {
       return FailedPreconditionError(name_ + ": no checkpoint taken yet");
@@ -81,48 +78,13 @@ class FakeService : public ExplorationService {
     return batches_;
   }
 
-  // Gate: after ArmBlock, the next ExecuteBatch parks on a condvar until
-  // Release. WaitUntilBlocked gives the test a deterministic rendezvous —
-  // no sleeps anywhere.
-  void ArmBlock() {
-    std::lock_guard<std::mutex> lock(gate_mu_);
-    armed_ = true;
-    blocked_ = false;
-    released_ = false;
-  }
-  void WaitUntilBlocked() {
-    std::unique_lock<std::mutex> lock(gate_mu_);
-    gate_cv_.wait(lock, [this] { return blocked_; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(gate_mu_);
-    released_ = true;
-    gate_cv_.notify_all();
-  }
 
  private:
-  void MaybeBlock() {
-    std::unique_lock<std::mutex> lock(gate_mu_);
-    if (!armed_) {
-      return;
-    }
-    armed_ = false;
-    blocked_ = true;
-    gate_cv_.notify_all();
-    gate_cv_.wait(lock, [this] { return released_; });
-  }
-
   std::string name_;
   mutable std::mutex mu_;
   uint64_t epoch_ = 0;
   net::SimTime last_checkpoint_now_ = 0;
   uint64_t batches_ = 0;
-
-  std::mutex gate_mu_;
-  std::condition_variable gate_cv_;
-  bool armed_ = false;
-  bool blocked_ = false;
-  bool released_ = false;
 };
 
 inline bgp::UpdateMessage TestAnnounce(const char* prefix) {
@@ -148,12 +110,6 @@ inline ExploratoryBatchRequest TestBatch(uint64_t epoch,
 inline Address UniqueUnixAddress(const char* tag) {
   static int counter = 0;
   return *Address::Parse(StrFormat("unix:/tmp/dice_%s_%d_%d.sock", tag,
-                                   static_cast<int>(::getpid()), counter++));
-}
-
-inline Address UniqueShmAddress(const char* tag) {
-  static int counter = 0;
-  return *Address::Parse(StrFormat("shm:/dice_%s_%d_%d", tag,
                                    static_cast<int>(::getpid()), counter++));
 }
 

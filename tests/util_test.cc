@@ -1,15 +1,13 @@
-// Tests for src/util: strings, bytes, rng, status, worker pool.
+// Tests for src/util: strings, bytes, rng, status.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <vector>
 
 #include "src/util/bytes.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 #include "src/util/strings.h"
-#include "src/util/worker_pool.h"
 
 namespace dice {
 namespace {
@@ -326,32 +324,6 @@ TEST(StatusTest, MacrosPropagate) {
   EXPECT_TRUE(UseMacros(8, &out).ok());
   EXPECT_EQ(out, 4);
   EXPECT_EQ(UseMacros(3, &out).code(), StatusCode::kInvalidArgument);
-}
-
-// --- worker pool ---------------------------------------------------------------
-
-TEST(WorkerPoolTest, ExecutesEveryTaskAndDrains) {
-  // The destructor drains: every task submitted before it runs exactly once.
-  std::vector<std::atomic<int>> counters(64);
-  for (int round = 0; round < 3; ++round) {
-    {
-      util::WorkerPool pool(4);
-      EXPECT_EQ(pool.size(), 4u);
-      for (size_t i = 0; i < counters.size(); ++i) {
-        pool.Submit([&counters, i] { counters[i].fetch_add(1); });
-      }
-    }
-    for (size_t i = 0; i < counters.size(); ++i) {
-      EXPECT_EQ(counters[i].load(), round + 1);
-    }
-  }
-}
-
-TEST(WorkerPoolTest, DrainOnEmptyPoolReturnsImmediately) {
-  // A pool with nothing submitted destructs without waiting on any task, and
-  // a zero width still starts one worker.
-  util::WorkerPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 //            [--inject=203.0.113.0/24:64500,...]
 //            [--remote_config=upstream.conf,...] [--remote_batch_size=N]
 //            [--state_dir=DIR] [--snapshot_every=N]
-//            [--serve=tcp:HOST:PORT,...] [--serve_peer_as=AS] [--serve_workers=N]
+//            [--serve=tcp:HOST:PORT,...] [--serve_peer_as=AS]
 //
 // The configuration must contain exactly one router block; the trace (or the
 // synthetic table) is loaded as routes from the *first* configured neighbor
@@ -24,9 +24,9 @@
 // router config file (one block; it should configure a neighbor whose AS is
 // this router's AS — that session receives the exploratory routes, answered
 // in-process over the wire-serialized narrow interface) or the address of a
-// remote dice_cli --serve process — `tcp:host:port`, `unix:/path`, or
-// `shm:/name` — in which case every domain that server announces joins the
-// federation over a real socket or shared-memory transport.
+// remote dice_cli --serve process — `tcp:host:port` or `unix:/path` — in
+// which case every domain that server announces joins the federation over a
+// real socket. Any other lowercase `scheme:` entry is a usage error.
 // --remote_batch_size caps exploratory updates per RPC (default 64, min 1).
 //
 // Serve mode: --serve=ADDR[,ADDR...] turns dice_cli into the other side of
@@ -34,12 +34,12 @@
 // construction as an in-process --remote_config entry: synthetic table from
 // --seed/--prefixes, exploratory session on the neighbor whose AS is
 // --serve_peer_as, defaulting to the first neighbor's AS) and serves it on
-// every listed endpoint until killed. --serve_workers=N answers requests on
-// an N-thread pool (different domains in parallel); --state_dir warm-restarts
-// the domain's table from its snapshot so a SIGKILLed server rejoins the
-// federation without rebuilding state. Each resolved endpoint is printed as a
-// `serving <domain> on <address>` line (tcp:...:0 shows the kernel-assigned
-// port). Incompatible with --remote_config.
+// every listed endpoint until killed, answering each request inline on one
+// reactor thread; --state_dir warm-restarts the domain's table from its
+// snapshot so a SIGKILLed server rejoins the federation without rebuilding
+// state. Each resolved endpoint is printed as a `serving <domain> on
+// <address>` line (tcp:...:0 shows the kernel-assigned port). Incompatible
+// with --remote_config.
 //
 // Durable state: --state_dir=DIR persists the solver query cache (every
 // --snapshot_every exploration runs, default 64) and the loaded router state
@@ -96,10 +96,9 @@ void PrintUsage(std::FILE* out) {
                "                [--anycast=P,...] [--peer=ADDR] [--inject=P:AS,...]\n"
                "                [--remote_config=F,...] [--remote_batch_size=N]\n"
                "                [--state_dir=DIR] [--snapshot_every=N]\n"
-               "                [--serve=tcp:HOST:PORT|unix:/path|shm:/name,...]\n"
-               "                [--serve_peer_as=AS] [--serve_workers=N]\n"
+               "                [--serve=tcp:HOST:PORT|unix:/path,...] [--serve_peer_as=AS]\n"
                "remote_config entries may be config files or server addresses\n"
-               "(tcp:host:port, unix:/path, shm:/name).\n");
+               "(tcp:host:port, unix:/path).\n");
 }
 
 // Rejects anything bench::Flags would silently ignore or misread: unknown
@@ -113,11 +112,11 @@ int ValidateArgs(int argc, char** argv, bool* help_requested) {
       "config",  "trace",       "prefixes", "runs",    "seed",
       "peer",    "seed-prefix", "seed-asn", "anycast", "inject",
       "remote_config", "remote_batch_size", "state_dir", "snapshot_every",
-      "serve", "serve_peer_as", "serve_workers",
+      "serve", "serve_peer_as",
   };
   static const std::set<std::string> kUintFlags = {
       "prefixes", "runs", "seed", "seed-asn", "remote_batch_size",
-      "snapshot_every", "serve_peer_as", "serve_workers"};
+      "snapshot_every", "serve_peer_as"};
   bool has_serve = false;
   bool has_remote_config = false;
   for (int i = 1; i < argc; ++i) {
@@ -176,14 +175,15 @@ int ValidateArgs(int argc, char** argv, bool* help_requested) {
       }
       if (!any) {
         std::fprintf(stderr, "error: flag '--serve' needs at least one endpoint "
-                             "(tcp:HOST:PORT, unix:/path, or shm:/name)\n");
+                             "(tcp:HOST:PORT or unix:/path)\n");
         return 2;
       }
     }
     if (key == "remote_config") {
       has_remote_config = true;
-      // Socket entries (tcp:/unix:/shm:) must parse as addresses; anything
-      // else is treated as a config file path and validated when opened.
+      // Entries with a lowercase `scheme:` prefix must parse as addresses
+      // (tcp:/unix:); anything else is treated as a config file path and
+      // validated when opened.
       for (const std::string& entry : Split(value, ',')) {
         if (entry.empty() || !transport::LooksLikeAddress(entry)) {
           continue;
@@ -341,7 +341,6 @@ int RunServe(bench::Flags& flags, const std::string& serve_spec) {
   const uint64_t seed = flags.GetUint("seed", 1);
   const uint64_t prefixes = flags.GetUint("prefixes", 10000);
   const uint64_t serve_peer_as = flags.GetUint("serve_peer_as", 0);
-  const uint64_t serve_workers = flags.GetUint("serve_workers", 0);
   const std::string state_dir = flags.GetString("state_dir", "");
 
   persist::PosixEnv persist_env;
@@ -359,9 +358,7 @@ int RunServe(bench::Flags& flags, const std::string& serve_spec) {
               parts->warm_loaded ? "warm restart" : "cold start", parts->domain.c_str(),
               parts->state.rib.PrefixCount());
 
-  transport::ExplorationServer::Options server_options;
-  server_options.workers = serve_workers;
-  transport::ExplorationServer server(server_options);
+  transport::ExplorationServer server;
   const std::string domain_name = parts->domain;
   server.AddDomain(std::make_unique<InProcessExplorationService>(
       parts->domain, std::move(parts->state), std::move(parts->views), parts->from_peer));
@@ -395,9 +392,6 @@ int RunServe(bench::Flags& flags, const std::string& serve_spec) {
     }
     // Scripts scrape this line for the kernel-assigned port of tcp:...:0.
     std::printf("serving %s on %s\n", domain_name.c_str(), bound->ToString().c_str());
-  }
-  if (serve_workers > 0) {
-    std::printf("request workers: %llu\n", static_cast<unsigned long long>(serve_workers));
   }
   std::fflush(stdout);
 
@@ -658,8 +652,8 @@ int Run(int argc, char** argv) {
 
   // Federated remote domains. A config-file entry builds the domain in
   // process behind the wire-serialized narrow interface; a socket entry
-  // (tcp:/unix:/shm:) dials a dice_cli --serve process and adds a stub for
-  // every domain it announces — same interface, real process boundary.
+  // (tcp:/unix:) dials a dice_cli --serve process and adds a stub for every
+  // domain it announces — same interface, real process boundary.
   std::vector<const WireExplorationService*> wires;
   std::vector<const transport::SocketExplorationService*> sockets;
   for (const std::string& remote_entry : Split(flags.GetString("remote_config", ""), ',')) {
@@ -815,8 +809,8 @@ int Run(int argc, char** argv) {
     }
     // The federation-level twin of detections_digest: covers which remote
     // domains adopted what. The e2e gates diff this across transports
-    // (in-process vs tcp vs unix vs shm) and across a server SIGKILL +
-    // warm restart — any divergence means a transport changed a verdict.
+    // (in-process vs tcp vs unix) and across a server SIGKILL + warm
+    // restart — any divergence means a transport changed a verdict.
     std::printf("system_wide_digest=%08x count=%zu\n",
                 BodyChecksum(reinterpret_cast<const uint8_t*>(sw_digest_src.data()),
                              sw_digest_src.size()),

@@ -47,16 +47,16 @@ bool RawRngAllowed(const std::string& path) {
 // the persistence Env's NowMicros, which stamps quarantine file names —
 // reviewed: nothing downstream branches on it, so determinism holds).
 // The transport files are the process boundary itself: socket dial/read
-// deadlines, reconnect backoff, futex wait slices, and operational latency
-// counters all need real time. Nothing deterministic reads any of it — the
-// simulation clock stays net::SimTime — so each file is allowlisted by name,
-// not by directory, to keep the seam reviewable.
+// deadlines, reconnect backoff, and operational latency counters all need
+// real time. Nothing deterministic reads any of it — the simulation clock
+// stays net::SimTime — so each file is allowlisted by name, not by
+// directory, to keep the seam reviewable.
 bool WallClockAllowed(const std::string& path) {
   return StartsWith(path, "bench/") || StartsWith(path, "tests/") ||
          path == "src/util/logging.h" || path == "src/util/logging.cc" ||
          path == "src/dice/baselines.cc" || path == "src/persist/env.cc" ||
-         path == "src/transport/stream.cc" || path == "src/transport/shm_ring.cc" ||
-         path == "src/transport/server.cc" || path == "src/transport/client.cc";
+         path == "src/transport/stream.cc" || path == "src/transport/server.cc" ||
+         path == "src/transport/client.cc";
 }
 
 bool IsHeader(const std::string& path) {
